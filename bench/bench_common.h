@@ -14,14 +14,10 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "runner/scenario_runner.h"
 #include "runner/sweep_session.h"
-#include "sim/event_queue.h"
-#include "sim/hotpath.h"
-#include "util/kernels.h"
 
 namespace econcast::bench {
 
@@ -58,84 +54,11 @@ inline std::string flag(int argc, char** argv, const char* name,
   return def;
 }
 
-/// Reads the event-queue backend from "--engine=binary-heap|calendar"
-/// (default: the reference heap). Backends cannot change the printed
-/// tables — pop order is a strict total order on (time, seq) — so this
-/// flag only trades wall-clock time, and CI diffs the tables across
-/// engines to prove it.
-inline sim::QueueEngine engine_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    // Benches only take '='-form flags; catch the space form instead of
-    // silently benchmarking the default backend.
-    if (std::strcmp(argv[i], "--engine") == 0) {
-      std::fprintf(stderr, "use --engine=NAME (flags take the '=' form)\n");
-      std::exit(2);
-    }
-  }
-  const std::string token = flag(argc, argv, "--engine", "binary-heap");
-  try {
-    return sim::queue_engine_from_token(token);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(2);
-  }
-}
-
 /// True when the bare flag `name` appears anywhere in argv.
 inline bool bool_flag(int argc, char** argv, const char* name) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], name) == 0) return true;
   return false;
-}
-
-/// Reads the simulator hot-path engine from "--hotpath=reference|optimized"
-/// (default: optimized). Same contract as --engine: the engines produce
-/// byte-identical tables — the optimized path only adds O(1) listener
-/// counting and rate-exponential memoization on top of the same RNG stream —
-/// so this flag trades wall-clock time only, and CI diffs the tables across
-/// engines to prove it.
-inline sim::HotpathEngine hotpath_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--hotpath") == 0) {
-      std::fprintf(stderr, "use --hotpath=NAME (flags take the '=' form)\n");
-      std::exit(2);
-    }
-  }
-  const std::string token = flag(argc, argv, "--hotpath", "optimized");
-  try {
-    return sim::hotpath_engine_from_token(token);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(2);
-  }
-}
-
-/// Applies the micro-kernel tier from "--kernels=scalar|avx2" (default: the
-/// cpuid-selected tier, same as the ECONCAST_KERNELS env override). Tiers
-/// are proven bit-identical by the differential tests, so — like --engine
-/// and --hotpath — this flag trades wall-clock time only and CI diffs the
-/// tables across tiers to prove it.
-inline void kernels_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--kernels") == 0) {
-      std::fprintf(stderr, "use --kernels=NAME (flags take the '=' form)\n");
-      std::exit(2);
-    }
-  }
-  const std::string token = flag(argc, argv, "--kernels");
-  try {
-    if (token.empty()) {
-      // No flag: force the first-use ECONCAST_KERNELS/cpuid resolution now,
-      // so a bad env value is a clean startup error instead of an uncaught
-      // throw mid-sweep.
-      util::active_kernel_tier();
-      return;
-    }
-    util::set_kernel_tier(util::kernel_tier_from_token(token));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "--kernels: %s\n", e.what());
-    std::exit(2);
-  }
 }
 
 /// Directory the sweep-shaped benches write manifests/results into:

@@ -29,9 +29,6 @@
 int main(int argc, char** argv) {
   using namespace econcast;
   const long scale = bench::knob(argc, argv, 2);  // duration = scale * 1e6
-  const sim::QueueEngine engine = bench::engine_flag(argc, argv);
-  const sim::HotpathEngine hotpath = bench::hotpath_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
   // --n256 appends a 16x16 grid row (N=256) — off by default so the standard
   // table stays byte-identical to earlier builds.
   const bool n256 = bench::bool_flag(argc, argv, "--n256");
@@ -64,8 +61,6 @@ int main(int argc, char** argv) {
         cfg.seed = 66 + n;
         cfg.energy_guard = true;  // adaptive start from eta = 0
         cfg.initial_energy = 5e5;
-        cfg.queue_engine = engine;  // cannot change the table, only the clock
-        cfg.hotpath_engine = hotpath;  // likewise
         const std::string name = "fig6-N" + std::to_string(n);
         const runner::SweepSpec sweep =
             runner::SweepSpec(name)

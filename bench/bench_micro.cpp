@@ -15,9 +15,7 @@
 #include "gibbs/symmetric.h"
 #include "model/state_space.h"
 #include "oracle/clique_oracle.h"
-#include "sim/event_kernels.h"
 #include "sim/event_queue.h"
-#include "util/kernels.h"
 #include "util/random.h"
 
 namespace {
@@ -90,29 +88,27 @@ void BM_OracleGroupputLP(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleGroupputLP)->Arg(5)->Arg(25)->Arg(100);
 
-// The event-queue push/pop cycle that dominates the simulator's inner loop,
-// as a comparative backend benchmark. Arg 0 is the node count N (live
-// events ≈ 4N per EventQueue::capacity_for_nodes, so N = 64 is the fig. 6
-// regime the calendar backend targets); arg 1 selects the backend. The
-// queue is constructed and pre-reserved once, outside the timing loop, and
-// pre-filled to its steady-state population — so the measured region is
-// pure queue ops (the simulator's inner loop) rather than allocator churn.
-// Event times advance by exponential gaps, the simulator's arrival pattern.
+// The event-queue push/pop cycle that dominates the simulator's inner loop.
+// Arg 0 is the node count N; the queue holds 4N live events (the
+// EventQueue::capacity_for_nodes regime), one durable event per node slot.
+// The queue is constructed and pre-reserved once, outside the timing loop,
+// and pre-filled to its steady-state population — so the measured region is
+// pure queue ops rather than allocator churn. Event times advance by
+// exponential gaps, the simulator's arrival pattern.
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto engine = static_cast<sim::QueueEngine>(state.range(1));
   const std::size_t live = 4 * n;
   util::Rng rng(2024);
   constexpr std::size_t kGapMask = (1u << 12) - 1;
   std::vector<double> gaps(kGapMask + 1);
   for (double& g : gaps) g = rng.exponential(1.0);
 
-  sim::EventQueue q(engine);
-  q.reserve_for_nodes(n);
+  sim::EventQueue q;
+  q.reserve_for_nodes(live);
   std::size_t g = 0;
   for (std::size_t i = 0; i < live; ++i)
     q.push(gaps[g++ & kGapMask], sim::EventKind::kTransition,
-           static_cast<std::uint32_t>(i % n));
+           static_cast<std::uint32_t>(i));
 
   double acc = 0.0;
   for (auto _ : state) {
@@ -125,21 +121,15 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * live));
-  state.SetLabel(std::string(sim::to_token(engine)) + " N=" +
-                 std::to_string(n));
+  state.SetLabel("N=" + std::to_string(n));
 }
-BENCHMARK(BM_EventQueuePushPop)
-    ->ArgsProduct({{16, 64, 256, 1024},
-                   {static_cast<long>(sim::QueueEngine::kBinaryHeap),
-                    static_cast<long>(sim::QueueEngine::kCalendar)}});
+BENCHMARK(BM_EventQueuePushPop)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 // The cancellation path: every op re-schedules a node's pending transition
-// (implicitly invalidating the previous one) and pops surface through the
-// stale-pruning filter — the pattern proto::Simulation's schedule_transition
-// produces under carrier-sense resampling.
+// (an in-place key update of its slot) — the pattern proto::Simulation's
+// schedule_transition produces under carrier-sense resampling.
 void BM_EventQueueScheduleCancel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto engine = static_cast<sim::QueueEngine>(state.range(1));
   util::Rng rng(4048);
   constexpr std::size_t kGapMask = (1u << 12) - 1;
   std::vector<double> gaps(kGapMask + 1);
@@ -148,7 +138,7 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
   for (auto& o : order)
     o = static_cast<std::uint32_t>(rng.uniform() * static_cast<double>(n));
 
-  sim::EventQueue q(engine);
+  sim::EventQueue q;
   q.reserve_for_nodes(n);
   double now = 0.0;
   std::size_t g = 0;
@@ -174,76 +164,9 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(4 * n));
-  state.SetLabel(std::string(sim::to_token(engine)) + " N=" +
-                 std::to_string(n));
+  state.SetLabel("N=" + std::to_string(n));
 }
-BENCHMARK(BM_EventQueueScheduleCancel)
-    ->ArgsProduct({{64, 256},
-                   {static_cast<long>(sim::QueueEngine::kBinaryHeap),
-                    static_cast<long>(sim::QueueEngine::kCalendar)}});
-
-// ---- Micro-kernel tier comparatives (util/kernels.h, sim/event_kernels.h).
-// Arg conventions: the last arg selects the kernel tier (0 = scalar forced,
-// 1 = avx2 forced); runs on hosts without the tier are skipped, not
-// silently downgraded. The tiers are bit-identical by construction (see
-// test_kernels), so items/sec is the only thing that may differ.
-
-bool force_tier(benchmark::State& state, long tier_arg) {
-  const auto tier = static_cast<util::KernelTier>(tier_arg);
-  if (!util::kernel_tier_supported(tier)) {
-    state.SkipWithError("kernel tier unavailable on this host/build");
-    return false;
-  }
-  util::set_kernel_tier(tier);
-  return true;
-}
-
-// The batched RNG refill behind Rng's block mode: raw xoshiro outputs
-// through the dispatched u64 -> [0,1) conversion. This is the kernel the
-// simulator pays on every block_ draws; the unbuffered path converts one
-// draw at a time inside Rng::uniform.
-void BM_RngBatch(benchmark::State& state) {
-  if (!force_tier(state, state.range(1))) return;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 gen(2016);
-  std::vector<std::uint64_t> bits(n);
-  for (auto& b : bits) b = gen();
-  std::vector<double> out(n);
-  for (auto _ : state) {
-    util::u01_from_bits(bits.data(), out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(std::string(util::to_token(
-                     static_cast<util::KernelTier>(state.range(1)))) +
-                 " block=" + std::to_string(n));
-}
-BENCHMARK(BM_RngBatch)->ArgsProduct({{256, 4096}, {0, 1}});
-
-// The calendar backend's bucket scan: one (time, seq)-min + time-bounds
-// pass over a bucket of the size find_min sees at the fig. 6 scale.
-void BM_CalendarMinScan(benchmark::State& state) {
-  if (!force_tier(state, state.range(1))) return;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(99);
-  std::vector<sim::Event> bucket(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bucket[i].time = rng.uniform() * 100.0;
-    bucket[i].seq = i;
-  }
-  for (auto _ : state) {
-    const auto scan = sim::event_kernels::min_scan(bucket.data(), n);
-    benchmark::DoNotOptimize(scan.best);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(std::string(util::to_token(
-                     static_cast<util::KernelTier>(state.range(1)))) +
-                 " bucket=" + std::to_string(n));
-}
-BENCHMARK(BM_CalendarMinScan)->ArgsProduct({{16, 64, 256}, {0, 1}});
+BENCHMARK(BM_EventQueueScheduleCancel)->Arg(64)->Arg(256);
 
 // The eager rate-memo row refill against the per-call path it replaced:
 // one η update's worth of listen_to_transmit exponentials for a fig. 6
@@ -295,16 +218,11 @@ void BM_SimulatorEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvents);
 
-// The simulator's hot path on fig. 6-style grids, comparatively across the
-// reference and optimized engines. Arg 0 is the grid side k (N = k²); arg 1
-// selects the hot-path engine. The config mirrors the fig. 6 cells (energy
-// guard, adaptive multiplier from eta = 0) at a shortened duration, so the
-// measured region exercises exactly the listener-count / rate-exponential /
-// allocation costs the optimized engine targets. Both engines process the
-// identical event stream — items/sec is the comparable figure of merit.
-void BM_SimulatorGridHotpath(benchmark::State& state) {
+// The simulator on fig. 6-style grids. Arg 0 is the grid side k (N = k²).
+// The config mirrors the fig. 6 cells (energy guard, adaptive multiplier
+// from eta = 0) at a shortened duration.
+void BM_SimulatorGrid(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  const auto engine = static_cast<sim::HotpathEngine>(state.range(1));
   const std::size_t n = k * k;
   const auto nodes = model::homogeneous(n, 10.0, 500.0, 500.0);
   const auto topo = model::Topology::grid(k, k);
@@ -318,19 +236,15 @@ void BM_SimulatorGridHotpath(benchmark::State& state) {
     cfg.seed = seed++;
     cfg.energy_guard = true;
     cfg.initial_energy = 5e5;
-    cfg.hotpath_engine = engine;
     proto::Simulation sim(nodes, topo, cfg);
     const auto r = sim.run();
     events += r.events_processed;
     benchmark::DoNotOptimize(r.groupput);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.SetLabel(sim::to_token(engine) + " N=" + std::to_string(n));
+  state.SetLabel("N=" + std::to_string(n));
 }
-BENCHMARK(BM_SimulatorGridHotpath)
-    ->ArgsProduct({{4, 8, 16},
-                   {static_cast<long>(sim::HotpathEngine::kReference),
-                    static_cast<long>(sim::HotpathEngine::kOptimized)}});
+BENCHMARK(BM_SimulatorGrid)->Arg(4)->Arg(8)->Arg(16);
 
 }  // namespace
 

@@ -27,8 +27,6 @@ int main(int argc, char** argv) {
 
   const testbed::Ez430Constants hw;  // mW units throughout this table
   protocol::TestbedParams testbed;
-  testbed.queue_engine = bench::engine_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
   testbed.sigma = 0.25;
   testbed.duration_ms = static_cast<double>(hours) * 3600e3;
   testbed.warmup_ms = testbed.duration_ms / 3.0;

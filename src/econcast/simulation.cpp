@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
-
-#include "util/kernels.h"
 
 namespace econcast::proto {
 
@@ -33,8 +30,8 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
       config_(std::move(config)),
       estimator_(config_.estimator),
       rng_(config_.seed, util::Rng::kDefaultBlock),
-      queue_(config_.queue_engine, &arena_),
-      channel_(topo_, &arena_, config_.hotpath_engine),
+      queue_(&arena_),
+      channel_(topo_, &arena_),
       metrics_(nodes_.size()),
       state_(sim::ArenaAllocator<NodeState>(&arena_)),
       state_since_(sim::ArenaAllocator<double>(&arena_)),
@@ -45,9 +42,7 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
       tx_rate_(sim::ArenaAllocator<double>(&arena_)),
       energy_(&arena_),
       burst_rx_flag_(sim::ArenaAllocator<std::uint8_t>(&arena_)),
-      burst_rx_list_(sim::ArenaAllocator<NodeId>(&arena_)),
-      toggled_scratch_(sim::ArenaAllocator<NodeId>(&arena_)),
-      opt_(config_.hotpath_engine == sim::HotpathEngine::kOptimized) {
+      burst_rx_list_(sim::ArenaAllocator<NodeId>(&arena_)) {
   model::validate(nodes_);
   if (nodes_.size() != topo_.size())
     throw std::invalid_argument("nodes/topology size mismatch");
@@ -84,7 +79,6 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
   energy_.reserve(n);
   burst_rx_flag_.assign(n, 0);
   burst_rx_list_.reserve(n);
-  toggled_scratch_.reserve(n);
 
   rates_.reserve(n);
   nodes_rt_.reserve(n);
@@ -109,7 +103,6 @@ int Simulation::observed_listeners(NodeId i) const {
 
 void Simulation::refresh_eta(NodeId i) {
   eta_[i] = nodes_rt_[i].multiplier.eta();
-  if (!opt_) return;
   wake_rate_[i] = rates_[i].sleep_to_listen(eta_[i], true);
   // Eager batch refill: one contiguous pass over the node's memo row per η
   // update replaces the old invalidate-then-lazily-recompute scheme, so the
@@ -122,16 +115,12 @@ void Simulation::refresh_eta(NodeId i) {
 }
 
 double Simulation::wake_rate(NodeId i, bool idle) {
-  if (opt_) return idle ? wake_rate_[i] : 0.0;
-  return rates_[i].sleep_to_listen(eta_[i], idle);
+  return idle ? wake_rate_[i] : 0.0;
 }
 
 double Simulation::listen_tx_rate(NodeId i, bool idle) {
   if (!idle) return 0.0;
   const int count = observed_listeners(i);
-  if (!opt_)
-    return rates_[i].listen_to_transmit(eta_[i], static_cast<double>(count),
-                                        true);
   return tx_rate_[static_cast<std::size_t>(i) * tx_rate_width_ +
                   static_cast<std::size_t>(count)];
 }
@@ -191,8 +180,8 @@ void Simulation::set_state(NodeId i, NodeState next) {
 
 void Simulation::schedule_transition(NodeId i) {
   // Any previously scheduled transition / energy-guard event for this node
-  // is obsolete the moment we re-sample; the queue invalidates them in
-  // O(1) and prunes lazily (schedule() below re-arms its own slot).
+  // is obsolete the moment we re-sample; the queue removes them in place
+  // (schedule() below re-arms its own slot).
   invalidate_transition(i);
   const bool idle = !channel_.busy_at(i);
   double rate = 0.0;
@@ -236,23 +225,11 @@ void Simulation::schedule_transition(NodeId i) {
 }
 
 void Simulation::resample_toggled() {
-  // Filter-then-schedule: the non-transmitting survivors are collected by
-  // the tier-dispatched SoA compaction kernel (util::filter_state_not — the
-  // hot branchy loop this used to be), then re-sampled. schedule_transition
-  // never writes state_, so filtering up front is behavior-identical to
-  // testing each id inline, on every tier (the kernel is stable and exact).
-  const sim::ArenaVector<NodeId>& toggled = channel_.drain_toggled();
-  if (toggled.empty()) return;
-  toggled_scratch_.resize(toggled.size());
-  static_assert(std::is_same_v<NodeId, std::uint32_t>,
-                "filter kernel compacts 32-bit node ids");
-  const std::size_t kept = util::filter_state_not(
-      toggled.data(), toggled.size(),
-      reinterpret_cast<const std::uint8_t*>(state_.data()), state_.size(),
-      static_cast<std::uint8_t>(NodeState::kTransmit),
-      toggled_scratch_.data());
-  for (std::size_t i = 0; i < kept; ++i)
-    schedule_transition(toggled_scratch_[i]);
+  // Transmitters advance via packet-end events; every other node whose
+  // carrier sense toggled re-samples. The drained buffer stays valid while
+  // schedule_transition runs (it never drains the channel).
+  for (const NodeId j : channel_.drain_toggled())
+    if (state_[j] != NodeState::kTransmit) schedule_transition(j);
 }
 
 void Simulation::resample_listening_neighbors_nc(NodeId i) {
@@ -462,9 +439,6 @@ SimResult Simulation::run() {
   result.corrupted_receptions = metrics_.corrupted_receptions();
   result.events_processed = events_processed_;
   result.queue_stats = queue_.stats();
-  result.hotpath_stats = channel_.hotpath_stats();
-  result.hotpath_stats.arena_bytes = arena_.stats().bytes_allocated;
-  result.hotpath_stats.arena_chunks = arena_.stats().chunks;
   if (!occupancy_.empty()) {
     result.state_occupancy = occupancy_;
     const double total = result.measured_window;

@@ -12,8 +12,7 @@ namespace econcast::fabric {
 ShardPlan cost_balanced_plan(const runner::SweepManifest& manifest,
                              std::size_t shard_count,
                              const std::string& cache_dir) {
-  const std::vector<runner::Scenario> cells =
-      runner::expand_with_overrides(manifest);
+  const std::vector<runner::Scenario> cells = manifest.spec.expand();
   const std::size_t n = cells.size();
 
   runner::CostModel model;

@@ -1,5 +1,7 @@
 #include "gibbs/symmetric.h"
 
+#include <math.h>  // lgamma_r: POSIX, not declared by <cmath>
+
 #include <cmath>
 #include <stdexcept>
 
@@ -8,12 +10,21 @@
 namespace econcast::gibbs {
 
 namespace {
+/// log Γ(x), via the reentrant lgamma_r: std::lgamma also stores the sign
+/// of Γ(x) in the global `signgam`, a data race when sweeps build
+/// SymmetricGibbs on several executor threads at once. The values are
+/// bit-identical.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 std::vector<double> log_binomials(std::size_t n) {
   std::vector<double> out(n + 1);
   for (std::size_t c = 0; c <= n; ++c)
-    out[c] = std::lgamma(static_cast<double>(n) + 1.0) -
-             std::lgamma(static_cast<double>(c) + 1.0) -
-             std::lgamma(static_cast<double>(n - c) + 1.0);
+    out[c] = log_gamma(static_cast<double>(n) + 1.0) -
+             log_gamma(static_cast<double>(c) + 1.0) -
+             log_gamma(static_cast<double>(n - c) + 1.0);
   return out;
 }
 }  // namespace

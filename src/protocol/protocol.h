@@ -147,10 +147,8 @@ struct TestbedParams {
   double duration_ms = 4.0 * 3600.0 * 1000.0;
   double warmup_ms = 20.0 * 60.0 * 1000.0;
   bool observer = true;
-  /// Event-queue backend for the firmware loop (cannot change results).
-  sim::QueueEngine queue_engine = sim::QueueEngine::kBinaryHeap;
   /// Surface the queue counters into SimResult::extras (same keys as the
-  /// econcast protocol: "queue_pushes", "queue_pops", "queue_stale_drops",
+  /// econcast protocol: "queue_pushes", "queue_pops", "queue_cancels",
   /// "queue_peak_live"). Off by default.
   bool report_queue_stats = false;
 };
@@ -194,19 +192,6 @@ ProtocolSpec testbed_spec(TestbedParams params = {});
 /// Testbed [sigma only]) and leaves the others untouched. Used by
 /// runner::SweepSpec to cross protocols with mode/σ axes.
 ProtocolSpec specialized(ProtocolSpec spec, model::Mode mode, double sigma);
-
-/// Selects the event-queue backend on parameter structs that carry a
-/// discrete-event kernel (EconCast and Testbed); a no-op for the analytic
-/// protocols and the slotted/renewal baselines. Used by the sweep layer to
-/// apply a manifest-level or `econcast_sweep --engine` override — safe to
-/// apply anywhere because the backend can never change results.
-void set_queue_engine(ProtocolSpec& spec, sim::QueueEngine engine);
-
-/// Selects the simulator hot-path engine on parameter structs that carry it
-/// (EconCast only: the testbed's clique firmware loop has no listener-count
-/// hot path); a no-op for every other protocol. Like set_queue_engine, safe
-/// to apply anywhere — the engine can never change results.
-void set_hotpath_engine(ProtocolSpec& spec, sim::HotpathEngine engine);
 
 // ---------------------------------------------------------------------------
 // Registry

@@ -1,21 +1,18 @@
 // Content-addressed cache of completed sweep cells.
 //
 // The repo's central invariant — a cell's result bytes are a pure function
-// of its (protocol, scenario, seed, engine) spec, proven byte-identical
-// across threads, queue/hot-path engines, kernel tiers and fabric shards —
-// makes memoization sound: a cell computed once never needs to run again,
-// across manifests (fig3 and table3 share cells), re-runs and shards.
+// of its (protocol, scenario, seed) spec, proven byte-identical across
+// threads and fabric shards — makes memoization sound: a cell computed once
+// never needs to run again, across manifests (fig3 and table3 share cells),
+// re-runs and shards.
 //
 // Keying. A cell's cache key is the canonical compact-JSON dump of an
 // object holding everything its result bytes depend on:
-//   { format, schema, epoch, seed, kernels, nodes, topology, protocol }
-// where `protocol` is the cell's full ProtocolSpec JSON *after* the
-// manifest-level queue/hot-path engine overrides were applied (engines
-// cannot change results, but hashing the resolved spec keeps the key an
-// exact function of what runs), `kernels` is the active micro-kernel tier
-// token (same reasoning), and `epoch` is a code-fingerprint string
-// (kCacheEpoch) bumped whenever a change could alter any result byte — a
-// stale cache can serve bytes from an older build otherwise. The scenario
+//   { format, schema, epoch, seed, nodes, topology, protocol }
+// where `protocol` is the cell's full ProtocolSpec JSON and `epoch` is a
+// code-fingerprint string (kCacheEpoch) bumped whenever a change could alter
+// any result byte — a stale cache can serve bytes from an older build
+// otherwise. The scenario
 // *name* is deliberately excluded: names embed the sweep name, and the
 // whole point is sharing cells across sweeps. The key is hashed with the
 // dependency-free util::sha256 (std::hash is unstable across libstdc++
@@ -56,7 +53,7 @@ namespace econcast::runner {
 /// The code-fingerprint epoch baked into every key. Bump on any change that
 /// could alter a result byte (simulator logic, RNG, JSON formatting, seed
 /// derivation); entries from other epochs simply miss.
-inline constexpr const char* kCacheEpoch = "econcast-epoch-1";
+inline constexpr const char* kCacheEpoch = "econcast-epoch-2";
 
 class CellCache {
  public:

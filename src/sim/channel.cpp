@@ -5,10 +5,8 @@
 
 namespace econcast::sim {
 
-Channel::Channel(const model::Topology& topology, Arena* arena,
-                 HotpathEngine engine)
+Channel::Channel(const model::Topology& topology, Arena* arena)
     : topo_(topology),
-      engine_(engine),
       listening_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
       transmitting_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
       busy_count_(topology.size(), 0, ArenaAllocator<std::uint32_t>(arena)),
@@ -38,13 +36,10 @@ void Channel::mark_toggled(NodeId node) {
 
 void Channel::apply_listen_change(NodeId node, bool listening) {
   listening_[node] = listening ? 1 : 0;
-  ++stats_.listen_toggles;
-  if (engine_ == HotpathEngine::kOptimized) {
-    if (listening) {
-      for (const std::size_t j : topo_.neighbors(node)) ++listen_count_[j];
-    } else {
-      for (const std::size_t j : topo_.neighbors(node)) --listen_count_[j];
-    }
+  if (listening) {
+    for (const std::size_t j : topo_.neighbors(node)) ++listen_count_[j];
+  } else {
+    for (const std::size_t j : topo_.neighbors(node)) --listen_count_[j];
   }
 }
 
@@ -124,22 +119,13 @@ bool Channel::is_transmitting(NodeId node) const {
   return transmitting_[node] != 0;
 }
 
-int Channel::listening_neighbors(NodeId node) const {
-  ++stats_.listener_queries;
-  if (engine_ == HotpathEngine::kOptimized)
-    return static_cast<int>(listen_count_[node]);
-  return listening_neighbors_scan(node);
-}
-
 int Channel::listening_neighbors_scan(NodeId node) const {
-  ++stats_.listener_scans;
   int count = 0;
   for (const std::size_t j : topo_.neighbors(node)) count += listening_[j];
   return count;
 }
 
 const ArenaVector<NodeId>& Channel::drain_toggled() {
-  ++stats_.toggle_drains;
   for (const NodeId n : toggled_) toggled_flag_[n] = 0;
   drained_.swap(toggled_);
   toggled_.clear();

@@ -6,13 +6,11 @@
 // for packet outcomes and drains busy-toggle notifications to re-sample
 // exponential transitions.
 //
-// Hot-path engines: under HotpathEngine::kOptimized the channel maintains a
-// per-node count of listening neighbors, updated in O(degree) on each
-// listener-set change, so `listening_neighbors()` answers in O(1); under
-// kReference it answers with the pre-overhaul O(degree) scan. Both engines
-// produce identical answers (the randomized differential test drives them
-// against each other), so the knob trades only wall clock. The scan is also
-// exposed directly as `listening_neighbors_scan()` for cross-checks.
+// The channel maintains a per-node count of listening neighbors, updated in
+// O(degree) on each listener-set change, so `listening_neighbors()` answers
+// in O(1). The O(degree) scan it replaces stays available as
+// `listening_neighbors_scan()`, the reference the differential tests compare
+// the incremental count against.
 //
 // All per-node storage can be placed in a caller-owned Arena; the channel
 // then allocates nothing after construction (the toggle drain and the packet
@@ -24,17 +22,13 @@
 
 #include "model/network.h"
 #include "sim/arena.h"
-#include "sim/hotpath.h"
 #include "sim/node_id.h"
 
 namespace econcast::sim {
 
 class Channel {
  public:
-  explicit Channel(const model::Topology& topology, Arena* arena = nullptr,
-                   HotpathEngine engine = HotpathEngine::kOptimized);
-
-  HotpathEngine engine() const noexcept { return engine_; }
+  explicit Channel(const model::Topology& topology, Arena* arena = nullptr);
 
   // --- listen-state notifications (from the protocol layer) -------------
   /// Must only be called while the node senses an idle medium (the protocol
@@ -75,10 +69,12 @@ class Channel {
   bool busy_at(NodeId node) const;
   bool is_transmitting(NodeId node) const;
   /// c(t) as seen by `node`: its listening neighbors (perfect estimate).
-  /// O(1) under kOptimized, O(degree) under kReference.
-  int listening_neighbors(NodeId node) const;
-  /// The reference computation (always a scan), engine-independent. The
-  /// differential tests assert listening_neighbors() == this at every step.
+  /// O(1), from the incremental count.
+  int listening_neighbors(NodeId node) const {
+    return static_cast<int>(listen_count_[node]);
+  }
+  /// The reference computation, an O(degree) scan. The differential tests
+  /// assert listening_neighbors() == this at every step.
   int listening_neighbors_scan(NodeId node) const;
   int transmitting_count() const noexcept { return active_tx_; }
 
@@ -86,8 +82,6 @@ class Channel {
   /// most once). The protocol re-samples these nodes' transitions. The
   /// returned buffer is reused: it stays valid until the next drain.
   const ArenaVector<NodeId>& drain_toggled();
-
-  const HotpathStats& hotpath_stats() const noexcept { return stats_; }
 
  private:
   void mark_toggled(NodeId node);
@@ -98,11 +92,10 @@ class Channel {
   void apply_listen_change(NodeId node, bool listening);
 
   const model::Topology& topo_;
-  HotpathEngine engine_;
   ArenaVector<std::uint8_t> listening_;
   ArenaVector<std::uint8_t> transmitting_;
   ArenaVector<std::uint32_t> busy_count_;    // transmitting neighbors
-  ArenaVector<std::uint32_t> listen_count_;  // listening neighbors (optimized)
+  ArenaVector<std::uint32_t> listen_count_;  // listening neighbors
   ArenaVector<NodeId> lock_tx_;  // which tx this listener decodes (kNoNode none)
   ArenaVector<std::uint8_t> corrupt_;  // current reception overlapped
   ArenaVector<std::uint8_t> toggled_flag_;
@@ -110,7 +103,6 @@ class Channel {
   ArenaVector<NodeId> drained_;  // scratch handed out by drain_toggled()
   PacketOutcome outcome_;        // scratch handed out by end_packet()
   int active_tx_ = 0;
-  mutable HotpathStats stats_;
 };
 
 }  // namespace econcast::sim

@@ -1,53 +1,27 @@
-// Future-event list for the continuous-time simulators — a pluggable kernel.
+// Future-event list for the continuous-time simulators: an indexed d-ary
+// heap keyed by (node, kind).
 //
-// `EventQueue` is a thin facade over two interchangeable backends:
+// EconCast is a continuous-time Markov chain, so each node holds at most one
+// pending timer per event kind, and memorylessness lets a cancelled timer
+// simply be re-drawn. The queue therefore has one slot per (node, kind) —
+// node-major, kEventKindCount wide — and a position map from slot to heap
+// index. A slot holds at most one live event:
 //
-//   * kBinaryHeap — std::push_heap/pop_heap over a reservable vector; the
-//     reference implementation (the seed's behavior, kept as the oracle the
-//     calendar backend is differentially tested against).
-//   * kCalendar — a calendar queue: direct-mapped time buckets plus an
-//     overflow ladder for events beyond the current "year". Tuned for this
-//     codebase's workload (a few live events per node, bounded horizon),
-//     where push and pop are O(1) amortized instead of O(log n); the year is
-//     re-laid over the overflow ladder when it drains, with the bucket width
-//     re-estimated from the live population each time.
+//   * `schedule()` enters a cancellable event; if the slot already holds one
+//     it is updated in place (new time, new seq) and re-sifted.
+//   * `cancel()` removes the slot's cancellable event in O(log n).
+//   * `push()` enters a durable event that no cancellation affects; pushing
+//     into a slot that already holds a live event is a logic error.
 //
-// Both backends guarantee the same strict total pop order on (time, seq) —
-// seq is assigned by push order — so the backend choice can never change
-// simulation results; it only changes how fast they are computed.
-//
-// Cancellation is owned by the queue: `schedule()` enters a *cancellable*
-// event bound to the current generation of its (node, kind) slot and bumps
-// that generation (so at most one scheduled event per slot is ever live),
-// `cancel()` bumps the generation without entering anything, and stale
-// events are pruned lazily when they surface at the head — the classic
-// lazy-deletion scheme that used to be hand-rolled with validity stamps in
-// proto::Simulation and testbed::run_testbed. Re-sampling on cancel is
-// statistically valid because the sojourn times are exponential
-// (memorylessness). `push()` enters a durable event that no cancellation
-// affects. All staleness bookkeeping lives in the facade, so the
-// instrumentation counters (pushes, pops, stale drops, peak live events)
-// are backend-independent by construction.
-//
-// Lazy deletion alone lets cancelled far-future events pile up: a sleeping
-// node's wake-up can sit orders of magnitude past the horizon, get
-// superseded thousands of times, and every stale copy stays stored because
-// it never surfaces at the head. The facade therefore tracks the exact live
-// count (at most one scheduled event per (node, kind) slot plus the durable
-// events) and, when stale entries outnumber live ones, compacts the backend
-// in place — filtering the stale events out and restoring the backend's
-// invariants. The trigger depends only on the operation sequence, never on
-// wall time, so compaction is deterministic, identical across backends, and
-// invisible in the pop order (it only removes events that could never be
-// delivered); the pruned events count into stale_drops exactly as if they
-// had surfaced.
+// The heap stores only live events, so `top()`/`pop()`/`empty()` never see a
+// superseded one. Pop order is the strict total order on (time, seq), with
+// seq assigned by every push()/schedule() call, so the delivered sequence is
+// a function of the call sequence alone.
 #ifndef ECONCAST_SIM_EVENT_QUEUE_H
 #define ECONCAST_SIM_EVENT_QUEUE_H
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "sim/arena.h"
 #include "sim/node_id.h"
@@ -63,7 +37,7 @@ enum class EventKind : std::uint8_t {
   kCustom,          // protocol-specific
 };
 
-/// Number of EventKind values; sizes the per-(node, kind) generation table.
+/// Number of EventKind values; the width of a node's block of slots.
 inline constexpr std::size_t kEventKindCount = 6;
 
 struct Event {
@@ -72,51 +46,22 @@ struct Event {
   EventKind kind = EventKind::kCustom;
   bool cancellable = false;  // entered via schedule() rather than push()
   NodeId node = 0;
-  std::uint64_t stamp = 0;  // queue generation (cancellable events only)
 };
 
-/// The strict total order both backends pop in: earliest time first, push
-/// order (seq) breaking ties. `operator()(a, b)` is "a pops later than b".
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-/// Backend selection. kBinaryHeap is the reference; kCalendar is the
-/// O(1)-amortized bucket queue for the N >= 64 regime.
-enum class QueueEngine : std::uint8_t { kBinaryHeap, kCalendar };
-
-/// "binary-heap" / "calendar" — the wire/CLI token of an engine.
-const char* to_token(QueueEngine engine) noexcept;
-
-/// Inverse of to_token. Throws std::invalid_argument (with the offending
-/// token named) for anything else.
-QueueEngine queue_engine_from_token(const std::string& token);
-
-/// Instrumentation counters, identical across backends for identical call
-/// sequences (staleness is resolved in the facade, in pop order).
+/// Operation counters; `size()` is the live count at any moment.
 struct QueueStats {
-  std::uint64_t pushes = 0;       // push() + schedule() calls that entered
-  std::uint64_t pops = 0;         // live events handed to the caller
-  std::uint64_t stale_drops = 0;  // cancelled events pruned (head or compact)
-  std::size_t peak_live = 0;      // high-water mark of stored events
+  std::uint64_t pushes = 0;   // push() + schedule() calls
+  std::uint64_t pops = 0;     // events handed to the caller
+  std::uint64_t cancels = 0;  // live events removed by cancel() or
+                              // superseded by schedule()
+  std::size_t peak_live = 0;  // high-water mark of live events
 };
-
-class EventQueueBackend;  // internal; defined in event_queue.cpp
 
 class EventQueue {
  public:
-  /// With an arena, event storage and the generation table are arena-backed
-  /// (the arena must outlive the queue and any queue moved-from it).
-  explicit EventQueue(QueueEngine engine = QueueEngine::kBinaryHeap,
-                      Arena* arena = nullptr);
-  ~EventQueue();
-  EventQueue(EventQueue&&) noexcept;
-  EventQueue& operator=(EventQueue&&) noexcept;
-
-  QueueEngine engine() const noexcept { return engine_; }
+  /// With an arena, the heap and the position map are arena-backed (the
+  /// arena must outlive the queue and any queue moved-from it).
+  explicit EventQueue(Arena* arena = nullptr);
 
   /// The shared capacity policy for simulators whose live event count is
   /// bounded by a few events per node (pending transition, interval end,
@@ -125,61 +70,57 @@ class EventQueue {
     return 4 * n + 8;
   }
 
-  /// Pre-sizes the queue for an `n`-node simulation: event storage per
-  /// capacity_for_nodes plus the (node, kind) generation table. Both
-  /// proto::Simulation and testbed::run_testbed call this instead of
-  /// hand-picking constants.
+  /// Pre-sizes the queue for an `n`-node simulation: heap storage per
+  /// capacity_for_nodes plus the position map over all n·kEventKindCount
+  /// slots. Both proto::Simulation and testbed::run_testbed call this.
   void reserve_for_nodes(std::size_t n);
 
-  /// Enters a durable event: it stays live until popped.
+  /// Enters a durable event: it stays live until popped. Throws
+  /// std::logic_error, naming the node and kind, when the (node, kind) slot
+  /// already holds a live event.
   void push(double time, EventKind kind, NodeId node);
 
-  /// Enters a cancellable event, implicitly cancelling any live event
-  /// previously scheduled for the same (node, kind) — at most one scheduled
-  /// event per slot is live at any time.
+  /// Enters a cancellable event, replacing the live event scheduled for the
+  /// same (node, kind) if there is one. Throws std::logic_error when the
+  /// slot holds a durable event.
   void schedule(double time, EventKind kind, NodeId node);
 
-  /// Invalidates the live scheduled event for (node, kind), if any. O(1):
-  /// the event itself is pruned lazily when it reaches the head.
+  /// Removes the live scheduled event for (node, kind), if any. Durable
+  /// events are unaffected.
   void cancel(NodeId node, EventKind kind);
 
-  /// Prunes cancelled events off the head; true when no live event remains.
-  bool empty();
-  /// The earliest live event. Throws std::logic_error when empty().
-  const Event& top();
-  /// Removes and returns the earliest live event. Throws std::logic_error
-  /// when empty().
+  bool empty() const noexcept { return heap_.empty(); }
+  /// The earliest event. Throws std::logic_error when empty().
+  const Event& top() const;
+  /// Removes and returns the earliest event. Throws std::logic_error when
+  /// empty().
   Event pop();
 
   void clear();
-  /// Pre-allocates storage for `n` simultaneously pending events.
-  void reserve(std::size_t n);
-  std::size_t capacity() const noexcept;
-  /// Stored events, including cancelled ones not yet pruned.
-  std::size_t size() const noexcept;
+  /// Pre-allocates heap storage for `n` simultaneously live events.
+  void reserve(std::size_t n) { heap_.reserve(n); }
+  std::size_t capacity() const noexcept { return heap_.capacity(); }
+  /// Live events.
+  std::size_t size() const noexcept { return heap_.size(); }
 
   const QueueStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Below this stored-event count compaction is never attempted; keeps the
-  /// unit-test-scale call sequences (and their exact counter expectations)
-  /// on the pure lazy-deletion path.
-  static constexpr std::size_t kCompactionFloor = 64;
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
+  /// The slot index of (node, kind), growing the position map to cover it.
   std::size_t slot(NodeId node, EventKind kind);
-  std::uint64_t& generation(NodeId node, EventKind kind);
-  bool stale(const Event& e) const noexcept;
-  /// Prunes stale events at the head; nullptr when no live event remains.
-  const Event* peek_live();
-  /// Compacts the backend when stale entries outnumber live ones.
-  void maybe_compact();
+  void insert(const Event& event, std::size_t slot);
+  /// Removes the event at heap index `i`.
+  void erase_at(std::size_t i);
+  /// Restores heap order around index `i` after its key changed.
+  void fix(std::size_t i);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  void place(std::size_t i, const Event& event);
 
-  QueueEngine engine_;
-  std::unique_ptr<EventQueueBackend> backend_;
-  ArenaVector<std::uint64_t> generations_;  // node-major, kEventKindCount wide
-  ArenaVector<std::uint8_t> slot_live_;     // 1 iff the slot's scheduled
-                                            // event is stored and live
-  std::size_t live_ = 0;                    // live stored events, exact
+  ArenaVector<Event> heap_;
+  ArenaVector<std::uint32_t> pos_;  // slot -> heap index, or kAbsent
   std::uint64_t next_seq_ = 0;
   QueueStats stats_;
 };

@@ -49,7 +49,7 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
     nd.drift = rng.uniform(1.0 - hw.sleep_clock_drift,
                            1.0 + hw.sleep_clock_drift);
 
-  sim::EventQueue queue(cfg.queue_engine);
+  sim::EventQueue queue;
   queue.reserve_for_nodes(cfg.n);  // shared policy with proto::Simulation
   double now = 0.0;
 
@@ -101,8 +101,8 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
   auto schedule_transition = [&](NodeId i) {
     Node& nd = nodes[i];
     // The queue owns invalidation: a re-schedule (or a bare cancel when the
-    // node is gated) obsoletes the pending transition, which is pruned
-    // lazily — the same contract proto::Simulation uses.
+    // node is gated) removes the pending transition — the same contract
+    // proto::Simulation uses.
     queue.cancel(i, sim::EventKind::kTransition);
     if (transmitter >= 0) return;  // gated: resampled on release
     double rate = 0.0;

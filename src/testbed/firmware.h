@@ -37,10 +37,6 @@ struct TestbedConfig {
   std::uint64_t seed = 1;
   bool observer = true;
 
-  /// Event-queue backend (same contract as proto::SimConfig::queue_engine:
-  /// the backend can never change results, only wall-clock time).
-  sim::QueueEngine queue_engine = sim::QueueEngine::kBinaryHeap;
-
   // Multiplier adaptation (same auto-scaling rationale as SimConfig).
   double tau_ms = 30.0 * 1000.0;  // update interval
   double step_gain = 0.01;        // δ = gain·σ/(L·ρ) in mW units
@@ -76,7 +72,7 @@ struct TestbedResult {
   std::uint64_t pings_lost_decode = 0;
   std::vector<double> final_eta;
 
-  /// Event-queue instrumentation for this run (backend-independent).
+  /// Event-queue instrumentation for this run.
   sim::QueueStats queue_stats;
 };
 

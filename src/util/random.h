@@ -45,13 +45,13 @@ class Xoshiro256 {
 ///
 /// Block-refill mode: constructed with `block > 0`, the Rng draws raw
 /// generator outputs `block` at a time and converts the whole batch to
-/// [0, 1) doubles through the dispatched u01 kernel (util/kernels.h), so
-/// uniform()/exponential() in the hot loops become a buffered load. The
-/// consumption order is unchanged — every draw, including the raw-bits
-/// draws of uniform_int() and fork(), takes the *next* buffered generator
-/// output — and the conversion is exact in every tier, so a block-mode Rng
-/// emits the bit-identical stream of the scalar path for any interleaving
-/// of calls (the golden vectors in test_random_regression prove it).
+/// [0, 1) doubles in one loop, so uniform()/exponential() in the hot loops
+/// become a buffered load. The consumption order is unchanged — every draw,
+/// including the raw-bits draws of uniform_int() and fork(), takes the
+/// *next* buffered generator output — and the conversion is exact, so a
+/// block-mode Rng emits the bit-identical stream of the unbuffered path for
+/// any interleaving of calls (the golden vectors in test_random_regression
+/// prove it).
 class Rng {
  public:
   /// The block size proto::Simulation uses; large enough to amortize the
@@ -125,7 +125,7 @@ class Rng {
   std::size_t block_ = 0;            // 0: unbuffered scalar path
   std::size_t pos_ = 0, fill_ = 0;   // consumption cursor / buffered count
   std::vector<std::uint64_t> raw_;   // generator outputs, stream order
-  std::vector<double> u01_;          // raw_ through the u01 kernel
+  std::vector<double> u01_;          // raw_ converted to [0, 1)
 };
 
 /// Fisher–Yates shuffle using the project Rng (std::shuffle is not

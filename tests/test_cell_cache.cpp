@@ -26,21 +26,13 @@
 #include "runner/manifest.h"
 #include "runner/scenario_runner.h"
 #include "runner/sweep_session.h"
+#include "scoped_temp_dir.h"
 
 namespace {
 
 using namespace econcast;
+using testing_support::ScopedTempDir;
 namespace fs = std::filesystem;
-
-fs::path test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       (std::string("econcast_") + info->test_suite_name() +
-                        "_" + info->name());
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -84,9 +76,10 @@ std::vector<fs::path> entry_files(const fs::path& cache_dir) {
 // ------------------------------------------------------------ cache keys --
 
 TEST(CellCache, KeyIgnoresNameAndSeparatesSeeds) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   runner::CellCache cache((dir / "cache").string());
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   ASSERT_GE(cells.size(), 2u);
 
   runner::Scenario renamed = cells[0];
@@ -109,8 +102,9 @@ TEST(CellCache, KeyIgnoresNameAndSeparatesSeeds) {
 }
 
 TEST(CellCache, ForeignEpochIsADisjointNamespace) {
-  const fs::path dir = test_dir();
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
+  const auto cells = small_manifest().spec.expand();
   const protocol::SimResult result;  // content is irrelevant here
 
   runner::CellCache old_epoch((dir / "cache").string(), "econcast-epoch-0");
@@ -127,9 +121,10 @@ TEST(CellCache, ForeignEpochIsADisjointNamespace) {
 }
 
 TEST(CellCache, ConcurrentPublishersOfOneCellNeverTearTheEntry) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string cache_dir = (dir / "cache").string();
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   protocol::SimResult result;
   result.groupput = 0.125;
 
@@ -170,9 +165,10 @@ TEST(CellCache, ConcurrentPublishersOfOneCellNeverTearTheEntry) {
 }
 
 TEST(CellCache, ScanAndGcAccountForEntries) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string cache_dir = (dir / "cache").string();
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   runner::CellCache cache(cache_dir);
   const protocol::SimResult result;
   for (std::size_t i = 0; i < 4; ++i)
@@ -200,7 +196,8 @@ TEST(CellCache, ScanAndGcAccountForEntries) {
 // ------------------------------------------------- sweep-session plumbing --
 
 TEST(CellCache, OffColdWarmRunsAreByteIdenticalAndWarmExecutesNothing) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   const std::string cache_dir = (dir / "cache").string();
 
@@ -245,7 +242,8 @@ TEST(CellCache, OffColdWarmRunsAreByteIdenticalAndWarmExecutesNothing) {
 }
 
 TEST(CellCache, SabotagedEntriesAreRejectedAndRecomputed) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   const std::string cache_dir = (dir / "cache").string();
 
@@ -299,7 +297,8 @@ TEST(CellCache, SabotagedEntriesAreRejectedAndRecomputed) {
 TEST(CellCache, ReadOnlyCacheDirectoryDegradesToRecompute) {
   // Publishing into an uncreatable directory must not fail the sweep: the
   // publish hook swallows cache I/O errors and the results file is intact.
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   spit(dir / "blocker", "");  // a *file*, so <dir>/blocker/<..> cannot exist
 
@@ -319,7 +318,7 @@ TEST(CellCache, ReadOnlyCacheDirectoryDegradesToRecompute) {
 // -------------------------------------------------------------- cost model --
 
 TEST(CostModel, UnitsArePositiveAndGrowWithWork) {
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   for (const runner::Scenario& cell : cells)
     EXPECT_GT(runner::CostModel::estimate_units(cell), 0.0) << cell.name;
 
@@ -347,9 +346,10 @@ TEST(CostModel, UnitsArePositiveAndGrowWithWork) {
 }
 
 TEST(CostModel, CalibrationLearnsScalesFromCacheEntries) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string cache_dir = (dir / "cache").string();
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   runner::CellCache cache(cache_dir);
   const protocol::SimResult result;
   for (std::size_t i = 0; i < cells.size(); ++i)
@@ -368,7 +368,7 @@ TEST(CostModel, CalibrationLearnsScalesFromCacheEntries) {
 }
 
 TEST(CostModel, SubmitOrderIsADeterministicLptPermutation) {
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   const runner::CostModel model;
 
   for (const std::size_t participants : {0u, 1u, 3u, 4u, 7u}) {
@@ -398,7 +398,7 @@ TEST(CostModel, SubmitOrderIsADeterministicLptPermutation) {
 // ---------------------------------------------------------- run_with_seeds --
 
 TEST(RunWithSeeds, ValidatesSeedsAndPermutation) {
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   const std::vector<runner::Scenario> batch(cells.begin(), cells.begin() + 4);
   const runner::ScenarioRunner r(runner::RunnerOptions{2, 7, true});
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
@@ -413,7 +413,7 @@ TEST(RunWithSeeds, ValidatesSeedsAndPermutation) {
 }
 
 TEST(RunWithSeeds, SubmissionOrderCannotChangeResults) {
-  const auto cells = runner::expand_with_overrides(small_manifest());
+  const auto cells = small_manifest().spec.expand();
   const std::vector<runner::Scenario> batch(cells.begin(), cells.begin() + 6);
   const runner::ScenarioRunner r(runner::RunnerOptions{2, 7, true});
   std::vector<std::uint64_t> seeds;

@@ -1,21 +1,17 @@
-// The pluggable event-queue kernel: differential tests driving both
-// backends (binary heap — the reference — and the calendar/ladder queue)
-// with identical push/schedule/cancel/pop sequences and asserting identical
-// pop streams and counters; cancellation semantics; stale-drop accounting;
-// the shared reserve_for_nodes capacity policy; and end-to-end cross-engine
-// equality of the two discrete-event simulators (which is what makes the
-// backend a pure performance knob).
+// The indexed (node, kind) event queue: a randomized differential harness
+// against a brute-force reference model, plus the slot contract (durable
+// collisions, in-place schedule, cancel), the live-count size(), reuse after
+// clear(), and the shared reserve_for_nodes capacity policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "econcast/simulation.h"
-#include "model/network.h"
-#include "model/node_params.h"
 #include "sim/event_queue.h"
-#include "testbed/firmware.h"
 #include "util/random.h"
 
 namespace {
@@ -24,231 +20,152 @@ using namespace econcast;
 using sim::Event;
 using sim::EventKind;
 using sim::EventQueue;
-using sim::QueueEngine;
+using sim::NodeId;
 
-constexpr QueueEngine kEngines[] = {QueueEngine::kBinaryHeap,
-                                    QueueEngine::kCalendar};
+// ------------------------------------------------------- reference model --
 
-// ------------------------------------------------------- per-engine basics --
-
-class EventQueueEngines : public ::testing::TestWithParam<QueueEngine> {};
-
-TEST_P(EventQueueEngines, OrdersByTimeThenSeq) {
-  EventQueue q(GetParam());
-  q.push(3.0, EventKind::kTransition, 0);
-  q.push(1.0, EventKind::kPacketEnd, 1);
-  q.push(2.0, EventKind::kIntervalEnd, 2);
-  q.push(1.0, EventKind::kTransition, 3);  // ties pop in push order
-  EXPECT_EQ(q.pop().node, 1u);
-  EXPECT_EQ(q.pop().node, 3u);
-  EXPECT_EQ(q.pop().node, 2u);
-  EXPECT_EQ(q.pop().node, 0u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST_P(EventQueueEngines, StaleDropAccounting) {
-  EventQueue q(GetParam());
-  q.schedule(1.0, EventKind::kTransition, 0);
-  q.schedule(2.0, EventKind::kTransition, 0);  // replaces the first
-  q.schedule(3.0, EventKind::kEnergyDepleted, 0);
-  q.cancel(0, EventKind::kEnergyDepleted);
-  q.push(4.0, EventKind::kPacketEnd, 0);
-  EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
-  EXPECT_DOUBLE_EQ(q.pop().time, 4.0);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.stats().pushes, 4u);
-  EXPECT_EQ(q.stats().pops, 2u);
-  EXPECT_EQ(q.stats().stale_drops, 2u);
-  EXPECT_EQ(q.stats().peak_live, 4u);
-}
-
-TEST_P(EventQueueEngines, EmptyPopAndTopThrow) {
-  EventQueue q(GetParam());
-  EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_THROW(q.top(), std::logic_error);
-  // A fully cancelled queue is empty too, and pop still throws after the
-  // stale entries are pruned.
-  q.schedule(1.0, EventKind::kTransition, 0);
-  q.cancel(0, EventKind::kTransition);
-  EXPECT_TRUE(q.empty());
-  EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_EQ(q.stats().stale_drops, 1u);
-}
-
-TEST_P(EventQueueEngines, TopPrunesButDoesNotConsume) {
-  EventQueue q(GetParam());
-  q.schedule(1.0, EventKind::kTransition, 0);
-  q.schedule(2.0, EventKind::kTransition, 0);
-  EXPECT_DOUBLE_EQ(q.top().time, 2.0);
-  EXPECT_EQ(q.stats().stale_drops, 1u);  // pruned while peeking
-  EXPECT_DOUBLE_EQ(q.top().time, 2.0);
-  EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
-  EXPECT_EQ(q.stats().pops, 1u);
-}
-
-TEST_P(EventQueueEngines, ClearEmptiesAndQueueRemainsUsable) {
-  EventQueue q(GetParam());
-  for (int i = 0; i < 100; ++i)
-    q.push(static_cast<double>(100 - i), EventKind::kCustom, 0);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  q.push(7.0, EventKind::kCustom, 3);
-  EXPECT_DOUBLE_EQ(q.pop().time, 7.0);
-}
-
-TEST_P(EventQueueEngines, ReserveForNodesAppliesSharedPolicy) {
-  EventQueue q(GetParam());
-  q.reserve_for_nodes(100);
-  EXPECT_GE(q.capacity(), EventQueue::capacity_for_nodes(100));
-  EXPECT_EQ(EventQueue::capacity_for_nodes(100), 408u);
-}
-
-TEST_P(EventQueueEngines, CompactionBoundsStaleAccumulation) {
-  // A sleeping node's far-future wake-up superseded over and over: pure
-  // lazy deletion would store every stale copy until the end of time (the
-  // fig. 6 workload peaks at ~500x the live population). Compaction must
-  // keep the stored count within a small multiple of the live count while
-  // preserving the live events and the conservation identity.
-  EventQueue q(GetParam());
-  const std::uint32_t n = 8;
-  q.reserve_for_nodes(n);
-  for (int round = 0; round < 4000; ++round)
-    for (std::uint32_t node = 0; node < n; ++node)
-      q.schedule(1e9 + static_cast<double>(round * n + node),
-                 EventKind::kTransition, node);
-  q.push(0.5, EventKind::kPacketEnd, 0);
-  // 8 live wake-ups + 1 durable event; anything near 32001 means stale
-  // copies survived.
-  EXPECT_LE(q.size(), 2u * (n + 1) + 64u);
-  EXPECT_DOUBLE_EQ(q.pop().time, 0.5);
-  for (std::uint32_t node = 0; node < n; ++node) {
-    const Event e = q.pop();
-    EXPECT_EQ(e.node, node);  // last-scheduled round, ascending times
-    EXPECT_DOUBLE_EQ(e.time, 1e9 + static_cast<double>(3999 * n + node));
-  }
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.stats().pushes,
-            q.stats().pops + q.stats().stale_drops);
-}
-
-TEST_P(EventQueueEngines, ManySimultaneousEventsPopInPushOrder) {
-  // Degenerate for a time-bucketed backend: every event at the same time.
-  EventQueue q(GetParam());
-  for (std::uint32_t i = 0; i < 500; ++i)
-    q.push(42.0, EventKind::kTransition, i);
-  for (std::uint32_t i = 0; i < 500; ++i) EXPECT_EQ(q.pop().node, i);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST_P(EventQueueEngines, FarFutureOutliersDoNotDisturbNearOrder) {
-  // The skew the ladder exists for: a dense near cluster plus wake-ups
-  // orders of magnitude out, interleaved with pops.
-  EventQueue q(GetParam());
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    q.push(1.0 + 0.001 * i, EventKind::kTransition, i);
-    q.push(1e6 + 17.0 * i, EventKind::kTransition, 1000 + i);
-  }
-  double last = 0.0;
-  for (int i = 0; i < 64; ++i) {
-    const Event e = q.pop();
-    EXPECT_TRUE(e.node < 64u || e.node == 9999u);  // never a far outlier
-    EXPECT_GE(e.time, last);
-    last = e.time;
-    q.push(last + 0.0005, EventKind::kPacketEnd, 9999);  // keep feeding near
-  }
-  std::size_t remaining = q.size();
-  EXPECT_EQ(remaining, 128u);  // 64 far + 64 near packet-ends
-  while (!q.empty()) {
-    const Event e = q.pop();
-    EXPECT_GE(e.time, last);
-    last = e.time;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueEngines,
-                         ::testing::ValuesIn(kEngines),
-                         [](const auto& param_info) {
-                           return param_info.param == QueueEngine::kCalendar
-                                      ? std::string("Calendar")
-                                      : std::string("BinaryHeap");
-                         });
-
-// ------------------------------------------------------ engine token codec --
-
-TEST(QueueEngineTokens, RoundTripAndRejection) {
-  EXPECT_EQ(sim::queue_engine_from_token("binary-heap"),
-            QueueEngine::kBinaryHeap);
-  EXPECT_EQ(sim::queue_engine_from_token("calendar"), QueueEngine::kCalendar);
-  EXPECT_STREQ(sim::to_token(QueueEngine::kBinaryHeap), "binary-heap");
-  EXPECT_STREQ(sim::to_token(QueueEngine::kCalendar), "calendar");
-  EXPECT_THROW(sim::queue_engine_from_token("fibonacci"),
-               std::invalid_argument);
-  EXPECT_THROW(sim::queue_engine_from_token(""), std::invalid_argument);
-}
-
-// ------------------------------------------------------ differential tests --
-
-/// Drives both backends with one operation sequence and asserts identical
-/// pop streams (every Event field) and identical counters throughout.
-class DifferentialHarness {
+/// The contract, spelled out brute force: a vector of live events holding
+/// at most one per (node, kind) slot, popped by an O(n) (time, seq) min.
+/// push/schedule return false exactly where EventQueue must throw.
+class ReferenceQueue {
  public:
-  DifferentialHarness()
-      : heap_(QueueEngine::kBinaryHeap), calendar_(QueueEngine::kCalendar) {}
-
-  void push(double time, EventKind kind, std::uint32_t node) {
-    heap_.push(time, kind, node);
-    calendar_.push(time, kind, node);
-  }
-  void schedule(double time, EventKind kind, std::uint32_t node) {
-    heap_.schedule(time, kind, node);
-    calendar_.schedule(time, kind, node);
-  }
-  void cancel(std::uint32_t node, EventKind kind) {
-    heap_.cancel(node, kind);
-    calendar_.cancel(node, kind);
+  bool push(double time, EventKind kind, NodeId node) {
+    if (find(node, kind) != events_.end()) return false;
+    add(Event{time, next_seq_++, kind, false, node});
+    return true;
   }
 
-  /// Pops both queues (expecting both non-empty) and checks the events
-  /// match; returns the popped time.
-  double pop() {
-    const bool heap_empty = heap_.empty();
-    EXPECT_EQ(heap_empty, calendar_.empty());
-    EXPECT_FALSE(heap_empty);
-    const Event a = heap_.pop();
-    const Event b = calendar_.pop();
-    EXPECT_DOUBLE_EQ(a.time, b.time);
-    EXPECT_EQ(a.seq, b.seq);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.node, b.node);
-    EXPECT_EQ(a.cancellable, b.cancellable);
-    return a.time;
+  bool schedule(double time, EventKind kind, NodeId node) {
+    const auto it = find(node, kind);
+    if (it == events_.end()) {
+      add(Event{time, next_seq_++, kind, true, node});
+      return true;
+    }
+    if (!it->cancellable) return false;
+    *it = Event{time, next_seq_++, kind, true, node};
+    ++stats_.pushes;
+    ++stats_.cancels;
+    return true;
   }
 
-  bool empty() {
-    const bool e = heap_.empty();
-    EXPECT_EQ(e, calendar_.empty());
+  void cancel(NodeId node, EventKind kind) {
+    const auto it = find(node, kind);
+    if (it == events_.end() || !it->cancellable) return;
+    events_.erase(it);
+    ++stats_.cancels;
+  }
+
+  const Event& top() const { return *earliest(); }
+
+  Event pop() {
+    const auto it = earliest();
+    const Event e = *it;
+    events_.erase(it);
+    ++stats_.pops;
     return e;
   }
 
-  void drain_and_compare() {
+  bool empty() const { return events_.empty(); }
+  std::size_t size() const { return events_.size(); }
+  const sim::QueueStats& stats() const { return stats_; }
+
+ private:
+  std::vector<Event>::iterator find(NodeId node, EventKind kind) {
+    return std::find_if(events_.begin(), events_.end(), [&](const Event& e) {
+      return e.node == node && e.kind == kind;
+    });
+  }
+
+  std::vector<Event>::const_iterator earliest() const {
+    return std::min_element(events_.begin(), events_.end(),
+                            [](const Event& a, const Event& b) {
+                              if (a.time != b.time) return a.time < b.time;
+                              return a.seq < b.seq;
+                            });
+  }
+
+  void add(const Event& e) {
+    events_.push_back(e);
+    ++stats_.pushes;
+    stats_.peak_live = std::max(stats_.peak_live, events_.size());
+  }
+
+  std::vector<Event> events_;
+  std::uint64_t next_seq_ = 0;
+  sim::QueueStats stats_;
+};
+
+void expect_same_event(const Event& a, const Event& b) {
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.node, b.node);
+  EXPECT_EQ(a.cancellable, b.cancellable);
+}
+
+/// Applies one operation sequence to the queue and to the reference model,
+/// checking after every call that the two agree on throw/no-throw, size(),
+/// empty(), top() and every popped event.
+class DifferentialHarness {
+ public:
+  void push(double time, EventKind kind, NodeId node) {
+    if (ref_.push(time, kind, node)) {
+      queue_.push(time, kind, node);
+    } else {
+      EXPECT_THROW(queue_.push(time, kind, node), std::logic_error);
+    }
+    check();
+  }
+
+  void schedule(double time, EventKind kind, NodeId node) {
+    if (ref_.schedule(time, kind, node)) {
+      queue_.schedule(time, kind, node);
+    } else {
+      EXPECT_THROW(queue_.schedule(time, kind, node), std::logic_error);
+    }
+    check();
+  }
+
+  void cancel(NodeId node, EventKind kind) {
+    ref_.cancel(node, kind);
+    queue_.cancel(node, kind);
+    check();
+  }
+
+  /// Pops both (expecting a live event) and returns the popped time.
+  double pop() {
+    const Event want = ref_.pop();
+    expect_same_event(queue_.pop(), want);
+    check();
+    return want.time;
+  }
+
+  bool empty() const { return ref_.empty(); }
+
+  void drain_and_compare_stats() {
     while (!empty()) pop();
-    EXPECT_EQ(heap_.stats().pushes, calendar_.stats().pushes);
-    EXPECT_EQ(heap_.stats().pops, calendar_.stats().pops);
-    EXPECT_EQ(heap_.stats().stale_drops, calendar_.stats().stale_drops);
-    EXPECT_EQ(heap_.stats().peak_live, calendar_.stats().peak_live);
+    EXPECT_EQ(queue_.stats().pushes, ref_.stats().pushes);
+    EXPECT_EQ(queue_.stats().pops, ref_.stats().pops);
+    EXPECT_EQ(queue_.stats().cancels, ref_.stats().cancels);
+    EXPECT_EQ(queue_.stats().peak_live, ref_.stats().peak_live);
   }
 
  private:
-  EventQueue heap_;
-  EventQueue calendar_;
+  void check() {
+    ASSERT_EQ(queue_.size(), ref_.size());
+    ASSERT_EQ(queue_.empty(), ref_.empty());
+    if (!ref_.empty()) expect_same_event(queue_.top(), ref_.top());
+  }
+
+  EventQueue queue_;
+  ReferenceQueue ref_;
 };
 
 EventKind random_kind(util::Rng& rng) {
-  return static_cast<EventKind>(
-      static_cast<int>(rng.uniform() * static_cast<double>(
-                                           sim::kEventKindCount)));
+  return static_cast<EventKind>(rng.uniform_int(sim::kEventKindCount));
 }
+
+// ---------------------------------------------------- differential tests --
 
 TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
   // The simulator's pattern: time only moves forward, pushes land at
@@ -257,11 +174,11 @@ TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
   for (const std::uint64_t seed : {1u, 7u, 23u, 1234u}) {
     util::Rng rng(seed);
     DifferentialHarness q;
-    const std::uint32_t n = 40;
+    const std::uint64_t n = 40;
     double now = 0.0;
     for (int op = 0; op < 20000; ++op) {
       const double r = rng.uniform();
-      const auto node = static_cast<std::uint32_t>(rng.uniform() * n);
+      const auto node = static_cast<NodeId>(rng.uniform_int(n));
       // Mixed-scale gaps: 1e-3 .. 1e5.
       const double gap = rng.exponential(1.0) *
                          (rng.uniform() < 0.1 ? 1e5 : 1.0) *
@@ -276,25 +193,22 @@ TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
         now = q.pop();
       }
     }
-    q.drain_and_compare();
+    q.drain_and_compare_stats();
   }
 }
 
-TEST(EventQueueDifferential, AdversarialOutOfOrderPushes) {
-  // Not a pattern the simulators produce: pushes earlier than the last
-  // popped time (the calendar clamps them into its current bucket), dense
-  // ties, and cancel storms. The reference heap defines the contract.
+TEST(EventQueueDifferential, OutOfOrderTimesAndDenseTies) {
+  // Not a pattern the simulators produce: times earlier than the last pop,
+  // a coarse grid so exact ties are frequent, and cancel storms. Ties must
+  // break by seq, i.e. by the order of the push()/schedule() calls.
   for (const std::uint64_t seed : {3u, 99u, 4321u}) {
     util::Rng rng(seed);
     DifferentialHarness q;
-    const std::uint32_t n = 12;
+    const std::uint64_t n = 12;
     for (int op = 0; op < 8000; ++op) {
       const double r = rng.uniform();
-      const auto node = static_cast<std::uint32_t>(rng.uniform() * n);
-      // Absolute times in [0, 100), ignoring pop progress; coarse grid so
-      // exact ties are frequent.
-      const double t =
-          std::floor(rng.uniform() * 1000.0) / 10.0;
+      const auto node = static_cast<NodeId>(rng.uniform_int(n));
+      const double t = std::floor(rng.uniform() * 1000.0) / 10.0;
       if (r < 0.40) {
         q.schedule(t, random_kind(rng), node);
       } else if (r < 0.55) {
@@ -305,7 +219,7 @@ TEST(EventQueueDifferential, AdversarialOutOfOrderPushes) {
         q.pop();
       }
     }
-    q.drain_and_compare();
+    q.drain_and_compare_stats();
   }
 }
 
@@ -313,77 +227,131 @@ TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
   DifferentialHarness q;
   for (int round = 0; round < 50; ++round) {
     const double t = static_cast<double>(round);
-    for (std::uint32_t i = 0; i < 64; ++i)
+    for (NodeId i = 0; i < 64; ++i)
       q.schedule(t + 0.5, EventKind::kTransition, i);
-    for (std::uint32_t i = 0; i < 64; i += 2)
-      q.cancel(i, EventKind::kTransition);  // half become stale
+    for (NodeId i = 0; i < 64; i += 2) q.cancel(i, EventKind::kTransition);
     for (int k = 0; k < 40 && !q.empty(); ++k) q.pop();
   }
-  q.drain_and_compare();
+  q.drain_and_compare_stats();
 }
 
-// -------------------------------------------- cross-engine end-to-end runs --
+// ---------------------------------------------------------- slot contract --
 
-TEST(CrossEngine, SimulationResultsAreIdentical) {
-  const auto nodes = model::homogeneous(9, 10.0, 500.0, 500.0);
-  proto::SimConfig cfg;
-  cfg.sigma = 0.4;
-  cfg.duration = 3e4;
-  cfg.warmup = 1e4;
-  cfg.seed = 99;
-  cfg.energy_guard = true;  // exercises the kEnergyDepleted cancellation path
-  cfg.initial_energy = 1e4;
-  const auto topo = model::Topology::grid(3, 3);
-
-  cfg.queue_engine = QueueEngine::kBinaryHeap;
-  const proto::SimResult a = proto::Simulation(nodes, topo, cfg).run();
-  cfg.queue_engine = QueueEngine::kCalendar;
-  const proto::SimResult b = proto::Simulation(nodes, topo, cfg).run();
-
-  EXPECT_DOUBLE_EQ(a.groupput, b.groupput);
-  EXPECT_DOUBLE_EQ(a.anyput, b.anyput);
-  EXPECT_EQ(a.packets_sent, b.packets_sent);
-  EXPECT_EQ(a.packets_received, b.packets_received);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  ASSERT_EQ(a.final_eta.size(), b.final_eta.size());
-  for (std::size_t i = 0; i < a.final_eta.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.final_eta[i], b.final_eta[i]);
-    EXPECT_DOUBLE_EQ(a.avg_power[i], b.avg_power[i]);
+TEST(EventQueue, DurableSlotCollisionThrowsNamingNodeAndKind) {
+  EventQueue q;
+  q.push(1.0, EventKind::kPacketEnd, 3);
+  try {
+    q.push(2.0, EventKind::kPacketEnd, 3);
+    FAIL() << "second durable push into a live slot must throw";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("kPacketEnd"), std::string::npos) << what;
   }
-  // The counters are backend-independent too (staleness resolves in pop
-  // order inside the facade).
-  EXPECT_EQ(a.queue_stats.pushes, b.queue_stats.pushes);
-  EXPECT_EQ(a.queue_stats.pops, b.queue_stats.pops);
-  EXPECT_EQ(a.queue_stats.stale_drops, b.queue_stats.stale_drops);
-  EXPECT_EQ(a.queue_stats.peak_live, b.queue_stats.peak_live);
-  // And they reconcile: every push was either handled or pruned (nothing
-  // popped after the horizon: duration may leave events in the queue).
-  EXPECT_GE(a.queue_stats.pushes,
-            a.queue_stats.pops + a.queue_stats.stale_drops);
+  // A durable event cannot be superseded by schedule() either, and a
+  // scheduled one blocks push() into its slot.
+  EXPECT_THROW(q.schedule(2.0, EventKind::kPacketEnd, 3), std::logic_error);
+  q.schedule(5.0, EventKind::kTransition, 3);
+  EXPECT_THROW(q.push(6.0, EventKind::kTransition, 3), std::logic_error);
+  // The failed calls changed nothing.
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().time, 1.0);
+  // Once popped, the slot takes a new durable event.
+  q.push(2.0, EventKind::kPacketEnd, 3);
+  EXPECT_EQ(q.pop().kind, EventKind::kPacketEnd);
+  EXPECT_EQ(q.pop().kind, EventKind::kTransition);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(CrossEngine, FirmwareResultsAreIdentical) {
-  testbed::TestbedConfig cfg;
-  cfg.n = 10;
-  cfg.duration_ms = 30.0 * 60.0 * 1000.0;
-  cfg.warmup_ms = 5.0 * 60.0 * 1000.0;
-  cfg.seed = 7;
+TEST(EventQueue, SizeIsTheLiveCount) {
+  EventQueue q;
+  for (NodeId i = 0; i < 10; ++i)
+    q.schedule(static_cast<double>(i), EventKind::kTransition, i);
+  EXPECT_EQ(q.size(), 10u);
+  // Re-scheduling updates the slot in place: nothing superseded is stored.
+  for (int round = 0; round < 100; ++round)
+    for (NodeId i = 0; i < 10; ++i)
+      q.schedule(1e9 + round, EventKind::kTransition, i);
+  EXPECT_EQ(q.size(), 10u);
+  q.cancel(4, EventKind::kTransition);
+  q.cancel(4, EventKind::kTransition);     // already gone: no-op
+  q.cancel(4, EventKind::kPacketEnd);      // never scheduled: no-op
+  q.cancel(1000, EventKind::kTransition);  // beyond the slot map: no-op
+  EXPECT_EQ(q.size(), 9u);
+  q.push(0.5, EventKind::kPacketEnd, 4);
+  q.cancel(4, EventKind::kPacketEnd);  // durable: unaffected
+  EXPECT_EQ(q.size(), 10u);
+  EXPECT_EQ(q.stats().cancels, 1000u + 1u);
+  std::size_t popped = 0;
+  while (!q.empty()) {
+    q.pop();
+    ++popped;
+  }
+  EXPECT_EQ(popped, 10u);
+  EXPECT_EQ(q.size(), 0u);
+}
 
-  cfg.queue_engine = QueueEngine::kBinaryHeap;
-  const testbed::TestbedResult a = testbed::run_testbed(cfg);
-  cfg.queue_engine = QueueEngine::kCalendar;
-  const testbed::TestbedResult b = testbed::run_testbed(cfg);
+TEST(EventQueue, ReusableAfterClear) {
+  EventQueue q;
+  q.reserve_for_nodes(4);
+  for (NodeId i = 0; i < 4; ++i) {
+    q.schedule(10.0 + i, EventKind::kTransition, i);
+    q.push(20.0 + i, EventKind::kIntervalEnd, i);
+  }
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_THROW(q.top(), std::logic_error);
+  // Every slot is free again: the durable pushes that would have collided
+  // before clear() succeed, and ordering still breaks ties by call order.
+  for (NodeId i = 0; i < 4; ++i) {
+    q.push(1.0, EventKind::kIntervalEnd, 3 - i);
+    q.schedule(1.0, EventKind::kTransition, i);
+  }
+  EXPECT_EQ(q.size(), 8u);
+  double last_seq = -1.0;
+  while (!q.empty()) {
+    const Event e = q.pop();
+    EXPECT_EQ(e.time, 1.0);
+    EXPECT_GT(static_cast<double>(e.seq), last_seq);
+    last_seq = static_cast<double>(e.seq);
+  }
+}
 
-  EXPECT_DOUBLE_EQ(a.groupput, b.groupput);
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.pings_sent, b.pings_sent);
-  ASSERT_EQ(a.final_eta.size(), b.final_eta.size());
-  for (std::size_t i = 0; i < a.final_eta.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.final_eta[i], b.final_eta[i]);
-  EXPECT_EQ(a.queue_stats.pops, b.queue_stats.pops);
-  EXPECT_EQ(a.queue_stats.stale_drops, b.queue_stats.stale_drops);
+TEST(EventQueue, EmptyPopAndTopThrow) {
+  EventQueue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.pop(), std::logic_error);
+  EXPECT_THROW(q.top(), std::logic_error);
+  q.schedule(1.0, EventKind::kTransition, 0);
+  q.cancel(0, EventKind::kTransition);
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.pop(), std::logic_error);
+}
+
+TEST(EventQueue, TopDoesNotConsume) {
+  EventQueue q;
+  q.schedule(2.0, EventKind::kTransition, 1);
+  q.schedule(1.0, EventKind::kTransition, 0);
+  EXPECT_EQ(q.top().node, 0u);
+  EXPECT_EQ(q.top().node, 0u);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().node, 0u);
+  EXPECT_EQ(q.top().node, 1u);
+}
+
+TEST(EventQueue, ManySimultaneousEventsPopInPushOrder) {
+  EventQueue q;
+  for (NodeId i = 0; i < 500; ++i) q.push(42.0, EventKind::kTransition, i);
+  for (NodeId i = 0; i < 500; ++i) EXPECT_EQ(q.pop().node, i);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ReserveForNodesAppliesSharedPolicy) {
+  EventQueue q;
+  q.reserve_for_nodes(100);
+  EXPECT_GE(q.capacity(), EventQueue::capacity_for_nodes(100));
+  EXPECT_EQ(EventQueue::capacity_for_nodes(100), 408u);
 }
 
 }  // namespace

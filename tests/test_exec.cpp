@@ -1,8 +1,9 @@
 // Tests for the persistent work-stealing executor: full index coverage
 // (exactly once) across pool shapes, persistence of one pool across many
 // batches, parallelism caps, the serialized per-task progress contract,
-// exception propagation with abandonment, nested-call inlining, and
-// graceful shutdown.
+// exception propagation with abandonment, nested-call inlining, graceful
+// shutdown, and race-free construction of the solvers sweeps build on
+// executor threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,9 +16,11 @@
 #include <vector>
 
 #include "exec/executor.h"
+#include "gibbs/symmetric.h"
 
 namespace {
 
+using namespace econcast;
 using econcast::exec::Executor;
 using econcast::exec::TaskProgress;
 
@@ -196,6 +199,23 @@ TEST(Executor, ConcurrentSubmittersSerializeSafely) {
   other.join();
   EXPECT_EQ(std::accumulate(a.begin(), a.end(), 0), 200);
   EXPECT_EQ(std::accumulate(b.begin(), b.end(), 0), 400);
+}
+
+TEST(Executor, SymmetricGibbsBuildsConcurrently) {
+  // Sweeps construct SymmetricGibbs on every executor thread at once; its
+  // log-binomial table must not touch shared state (std::lgamma writes the
+  // global signgam, which ThreadSanitizer reports as a race). Every thread's
+  // instance must also match one built serially, bit for bit.
+  const model::NodeParams params{10.0, 500.0, 500.0};
+  const gibbs::SymmetricGibbs serial(40, params, model::Mode::kGroupput, 0.25);
+  const double want = serial.dual_value(0.003);
+  Executor pool(4);
+  std::vector<double> got(64, 0.0);
+  pool.parallel_for(got.size(), [&](std::size_t i) {
+    const gibbs::SymmetricGibbs g(40, params, model::Mode::kGroupput, 0.25);
+    got[i] = g.dual_value(0.003);
+  });
+  for (const double x : got) EXPECT_EQ(x, want);
 }
 
 TEST(Executor, GracefulShutdownJoinsIdleWorkers) {

@@ -24,21 +24,13 @@
 #include "protocol/protocol.h"
 #include "runner/manifest.h"
 #include "runner/sweep_session.h"
+#include "scoped_temp_dir.h"
 
 namespace {
 
 using namespace econcast;
+using testing_support::ScopedTempDir;
 namespace fs = std::filesystem;
-
-fs::path test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       (std::string("econcast_") + info->test_suite_name() +
-                        "_" + info->name());
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -121,7 +113,8 @@ TEST(ShardPlan, PathLayout) {
 }
 
 TEST(ShardPlan, PinValidatesAndConflicts) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string manifest_path = (dir / "m.manifest.json").string();
   EXPECT_FALSE(fabric::plan_exists(manifest_path));
   const fabric::ShardPlan pinned = fabric::pin_plan(manifest_path, 16, 3);
@@ -172,7 +165,8 @@ TEST(ShardPlan, ExplicitBoundsPartitionAndValidate) {
 }
 
 TEST(ShardPlan, BoundsRoundTripAndPinnedBoundsWin) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string manifest_path = (dir / "m.manifest.json").string();
   const fabric::ShardPlan uneven(16, std::vector<std::size_t>{0, 9, 12, 16});
   fabric::pin_plan(manifest_path, uneven);
@@ -209,10 +203,11 @@ TEST(ShardPlan, CostBalancedPlanCoversCellsAndZeroesCachedWork) {
 
   // With every cell cached the remaining cost is zero and the plan falls
   // back to the equal split.
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string cache_dir = (dir / "cache").string();
   runner::CellCache cache(cache_dir);
-  const auto cells = runner::expand_with_overrides(manifest);
+  const auto cells = manifest.spec.expand();
   const protocol::SimResult result;
   for (std::size_t i = 0; i < cells.size(); ++i)
     cache.publish(cells[i], runner::manifest_cell_seed(manifest, cells[i], i),
@@ -232,7 +227,8 @@ TEST(ShardPlan, CostBalancedPlanCoversCellsAndZeroesCachedWork) {
 }
 
 TEST(ShardPlan, CompleteLineCount) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string path = (dir / "lines.jsonl").string();
   EXPECT_EQ(fabric::complete_line_count(path), 0u);  // missing file
   spit(path, "");
@@ -247,7 +243,8 @@ TEST(ShardPlan, CompleteLineCount) {
 // ----------------------------------------------------------------- Claims --
 
 TEST(ShardClaim, AcquireIsExclusiveAndReleaseIdempotent) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string path = (dir / "shard-0-of-2.claim.json").string();
   fabric::ShardClaim claim;
   claim.shard = 0;
@@ -274,7 +271,8 @@ TEST(ShardClaim, AcquireIsExclusiveAndReleaseIdempotent) {
 }
 
 TEST(ShardClaim, TouchHeartbeatsAndDetectsReassignment) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string path = (dir / "c.claim.json").string();
   fabric::ShardClaim claim;
   claim.worker = "worker-a";
@@ -308,7 +306,8 @@ TEST(ShardClaim, StalenessUsesLease) {
   EXPECT_TRUE(claim.stale(1030, 30));
   EXPECT_TRUE(claim.stale(1000, 0));  // zero lease: everything is stale
   // Corrupt claims load as errors.
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   spit(dir / "bad.claim.json", "{\"format\": \"econcast-shard-claim\"");
   EXPECT_THROW(fabric::load_claim((dir / "bad.claim.json").string()),
                std::runtime_error);
@@ -317,7 +316,8 @@ TEST(ShardClaim, StalenessUsesLease) {
 // ------------------------------------------- SweepSession cell ranges --
 
 TEST(SweepSessionRange, ShardFilesConcatenateToSingleProcessBytes) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
 
   runner::SweepSession full(manifest, (dir / "full.jsonl").string());
@@ -346,7 +346,8 @@ TEST(SweepSessionRange, ShardFilesConcatenateToSingleProcessBytes) {
 }
 
 TEST(SweepSessionRange, ProgressHookReportsGlobalIndices) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   std::vector<std::size_t> indices;
   runner::SweepSession::Options options;
@@ -365,7 +366,8 @@ TEST(SweepSessionRange, ProgressHookReportsGlobalIndices) {
 }
 
 TEST(SweepSessionRange, RejectsBadRangesAndForeignShardFiles) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   runner::SweepSession::Options options;
   options.cell_begin = 9;
@@ -395,7 +397,8 @@ TEST(SweepSessionRange, RejectsBadRangesAndForeignShardFiles) {
 }
 
 TEST(SweepSessionRange, ShardResumesAfterMidRecordKill) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   runner::SweepSession::Options options;
   options.cell_begin = 5;
@@ -422,7 +425,8 @@ TEST(SweepSessionRange, ShardResumesAfterMidRecordKill) {
 // -------------------------------------------------- Worker + Merger --
 
 TEST(Fabric, WorkersAndMergerReproduceSingleProcessBytes) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   const std::string manifest_path = write_spool_manifest(dir, manifest);
 
@@ -452,7 +456,8 @@ TEST(Fabric, WorkersAndMergerReproduceSingleProcessBytes) {
 }
 
 TEST(Fabric, WorkerRespectsRivalClaimAndHeartbeats) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string manifest_path =
       write_spool_manifest(dir, small_manifest());
 
@@ -492,7 +497,8 @@ TEST(Fabric, WorkerRespectsRivalClaimAndHeartbeats) {
 }
 
 TEST(Fabric, MergerRejectsMissingShortAndTamperedShards) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string manifest_path =
       write_spool_manifest(dir, small_manifest());
 
@@ -531,7 +537,8 @@ TEST(Fabric, MergerRejectsMissingShortAndTamperedShards) {
 }
 
 TEST(Fabric, OverShardedPlanLeavesEmptyShardsTriviallyComplete) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   proto::SimConfig cfg;
   cfg.duration = 3e3;
   const runner::SweepManifest manifest(
@@ -562,7 +569,8 @@ TEST(Fabric, CoordinatorPlansReassignsAndMerges) {
   // behind with a stale heartbeat), have the coordinator reassign it, run a
   // replacement worker, and require the merged file byte-identical to the
   // single-process run.
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest = small_manifest();
   const std::string manifest_path = write_spool_manifest(dir, manifest);
 
@@ -639,7 +647,8 @@ TEST(Fabric, CoordinatorPlansReassignsAndMerges) {
 }
 
 TEST(Fabric, CoordinatorLeavesFreshClaimsAlone) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string manifest_path =
       write_spool_manifest(dir, small_manifest());
 

@@ -143,7 +143,7 @@ TEST(ProtocolAdapters, QueueStatsExtrasAreOptIn) {
   const SimResult quiet = run_spec(protocol::econcast_spec(cfg), paper_nodes(),
                                    model::Topology::clique(5), /*seed=*/11);
   EXPECT_EQ(quiet.extras.count("queue_pushes"), 0u);
-  EXPECT_EQ(quiet.extras.count("queue_stale_drops"), 0u);
+  EXPECT_EQ(quiet.extras.count("queue_cancels"), 0u);
 
   cfg.report_queue_stats = true;
   const SimResult loud = run_spec(protocol::econcast_spec(cfg), paper_nodes(),
@@ -151,9 +151,9 @@ TEST(ProtocolAdapters, QueueStatsExtrasAreOptIn) {
   EXPECT_GT(loud.extra("queue_pushes"), 0.0);
   EXPECT_GT(loud.extra("queue_pops"), 0.0);
   EXPECT_GT(loud.extra("queue_peak_live"), 0.0);
-  // Conservation: everything popped or pruned was pushed first.
+  // Conservation: everything popped or cancelled was pushed first.
   EXPECT_GE(loud.extra("queue_pushes"),
-            loud.extra("queue_pops") + loud.extra("queue_stale_drops"));
+            loud.extra("queue_pops") + loud.extra("queue_cancels"));
   // The flag changes reporting, not the simulation.
   EXPECT_EQ(loud.groupput, quiet.groupput);
   EXPECT_EQ(loud.packets_sent, quiet.packets_sent);
@@ -168,24 +168,6 @@ TEST(ProtocolAdapters, QueueStatsExtrasAreOptIn) {
                model::homogeneous(5, 1.0, 52.2, 55.4),
                model::Topology::clique(5), /*seed=*/3);
   EXPECT_GT(firmware.extra("queue_pushes"), 0.0);
-}
-
-TEST(ProtocolAdapters, QueueEngineCannotChangeResults) {
-  proto::SimConfig cfg;
-  cfg.sigma = 0.5;
-  cfg.duration = 2e4;
-  cfg.queue_engine = sim::QueueEngine::kCalendar;
-  protocol::ProtocolSpec spec = protocol::econcast_spec(cfg);
-  const SimResult calendar = run_spec(spec, paper_nodes(),
-                                      model::Topology::clique(5), /*seed=*/5);
-  protocol::set_queue_engine(spec, sim::QueueEngine::kBinaryHeap);
-  const SimResult heap = run_spec(spec, paper_nodes(),
-                                  model::Topology::clique(5), /*seed=*/5);
-  EXPECT_EQ(calendar.groupput, heap.groupput);
-  EXPECT_EQ(calendar.packets_sent, heap.packets_sent);
-  EXPECT_EQ(calendar.latencies.samples(), heap.latencies.samples());
-  EXPECT_EQ(calendar.extra("events_processed"),
-            heap.extra("events_processed"));
 }
 
 TEST(ProtocolAdapters, PandaSimulationMatchesDeprecatedShim) {

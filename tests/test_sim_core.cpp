@@ -44,7 +44,7 @@ TEST(EventQueue, ScheduleReplacesPendingSlot) {
   const Event e = q.pop();
   EXPECT_DOUBLE_EQ(e.time, 2.0);
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.stats().stale_drops, 1u);
+  EXPECT_EQ(q.stats().cancels, 1u);
 }
 
 TEST(EventQueue, CancelInvalidatesOnlyItsSlot) {

@@ -22,22 +22,14 @@
 #include "runner/manifest.h"
 #include "runner/scenario_runner.h"
 #include "runner/sweep_session.h"
+#include "scoped_temp_dir.h"
 
 namespace {
 
 using namespace econcast;
+using testing_support::ScopedTempDir;
 namespace fs = std::filesystem;
 namespace json = util::json;
-
-fs::path test_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       (std::string("econcast_") + info->test_suite_name() +
-                        "_" + info->name());
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -421,7 +413,8 @@ TEST(ManifestJson, CustomTopologyIsNotSerializable) {
 }
 
 TEST(ManifestJson, ManifestFileRoundTrips) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const std::string path = (dir / "mini.manifest.json").string();
   const runner::SweepManifest manifest(small_sweep(), 4242, true);
   runner::write_manifest(manifest, path);
@@ -431,65 +424,28 @@ TEST(ManifestJson, ManifestFileRoundTrips) {
   EXPECT_TRUE(back.reseed);
   EXPECT_EQ(json::dump(runner::to_json(back)),
             json::dump(runner::to_json(manifest)));
-}
 
-TEST(ManifestJson, QueueEngineOverrideRoundTripsAndValidates) {
-  const fs::path dir = test_dir();
-  runner::SweepManifest manifest(small_sweep(), 4242, true);
-  manifest.queue_engine = "calendar";
-  const std::string path = (dir / "cal.manifest.json").string();
-  runner::write_manifest(manifest, path);
-  EXPECT_EQ(runner::load_manifest(path).queue_engine, "calendar");
-
-  // Unset: the runner object carries no queue_engine key at all.
-  runner::SweepManifest plain(small_sweep(), 4242, true);
-  EXPECT_EQ(runner::to_json(plain)
-                .as_object()
-                .at("runner")
-                .as_object()
-                .find("queue_engine"),
-            nullptr);
-
-  // Bad tokens die at the write and at the parse, offender named.
-  runner::SweepManifest bad(small_sweep(), 4242, true);
-  bad.queue_engine = "fibonacci";
-  EXPECT_THROW(runner::to_json(bad), json::Error);
-  std::string text = json::dump(runner::to_json(manifest));
-  const std::string needle = "\"calendar\"";  // only the runner override
-  const std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, needle.size(), "\"fibonacci\"");
-  EXPECT_THROW(runner::manifest_from_json(json::parse(text)), json::Error);
+  // A manifest written before the queue-engine, hot-path-engine and kernel
+  // knobs were removed: it carries runner.queue_engine/hotpath_engine and
+  // per-spec queue_engine/hotpath_engine/report_hotpath_stats keys. It
+  // still loads, as the same sweep, and runs to the exact results bytes the
+  // writing build produced (committed next to it).
+  const std::string data = ECONCAST_TEST_DATA_DIR;
+  const runner::SweepManifest legacy =
+      runner::load_manifest(data + "/legacy_engines_manifest.json");
+  EXPECT_EQ(json::dump(runner::to_json(legacy)),
+            json::dump(runner::to_json(
+                runner::SweepManifest(small_sweep(), 7, true))));
+  runner::SweepSession(legacy, (dir / "legacy.jsonl").string()).run();
+  EXPECT_EQ(slurp(dir / "legacy.jsonl"),
+            slurp(data + "/legacy_engines_results.jsonl"));
 }
 
 // -------------------------------------------------------------- SweepSession --
 
-TEST(SweepSession, QueueEngineOverrideResultsAreByteIdentical) {
-  // The whole point of the determinism contract: the same manifest run
-  // under either backend — or checkpointed under one and resumed under the
-  // other — produces byte-identical results files.
-  const fs::path dir = test_dir();
-  runner::SweepManifest manifest(small_sweep(), 7, true);
-  runner::SweepSession heap(manifest, (dir / "heap.jsonl").string());
-  heap.run();
-
-  manifest.queue_engine = "calendar";
-  runner::SweepSession calendar(manifest, (dir / "cal.jsonl").string());
-  calendar.run();
-  EXPECT_EQ(slurp(dir / "heap.jsonl"), slurp(dir / "cal.jsonl"));
-
-  // Checkpoint 5 cells under the calendar, resume under the heap.
-  runner::SweepSession first(manifest, (dir / "mixed.jsonl").string());
-  first.run(5);
-  manifest.queue_engine = "binary-heap";
-  runner::SweepSession resumed(manifest, (dir / "mixed.jsonl").string());
-  EXPECT_EQ(resumed.completed_cells(), 5u);
-  resumed.run();
-  EXPECT_EQ(slurp(dir / "heap.jsonl"), slurp(dir / "mixed.jsonl"));
-}
-
 TEST(SweepSession, UninterruptedRunCompletesAndAggregates) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest(small_sweep(), 7, true);
   runner::SweepSession session(manifest, (dir / "a.jsonl").string());
   EXPECT_EQ(session.cell_count(), 16u);
@@ -515,7 +471,8 @@ TEST(SweepSession, UninterruptedRunCompletesAndAggregates) {
 }
 
 TEST(SweepSession, LimitCheckpointsAndResumeIsByteIdentical) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest(small_sweep(), 7, true);
 
   runner::SweepSession full(manifest, (dir / "full.jsonl").string());
@@ -548,7 +505,8 @@ TEST(SweepSession, LimitCheckpointsAndResumeIsByteIdentical) {
 TEST(SweepSession, TruncatedMidLineResumesByteIdentically) {
   // The kill-at-any-byte contract: chop the results file mid-record; the
   // partial line is discarded on open and its cell reruns.
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest(small_sweep(), 7, true);
 
   runner::SweepSession full(manifest, (dir / "full.jsonl").string());
@@ -585,7 +543,8 @@ TEST(SweepSession, TruncatedMidEscapeSequenceResumesByteIdentically) {
   // the writer between the backslash and the quote and the file ends in a
   // lone backslash inside an open string. The partial line must still be
   // detected and discarded (no newline terminator), never half-parsed.
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   proto::SimConfig cfg;
   cfg.duration = 4e3;
   cfg.warmup = 5e2;
@@ -631,7 +590,8 @@ TEST(SweepSession, SampledSweepKillResumeIsByteIdentical) {
   // Kill/resume on the schema-v2 path: a heterogeneous (sampled node-set)
   // sweep, chopped mid-record, must resume to a byte-identical results file
   // — cell seeds and sampled networks both derive from the manifest alone.
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   proto::SimConfig cfg;
   cfg.duration = 3e3;
   cfg.warmup = 5e2;
@@ -667,7 +627,8 @@ TEST(SweepSession, SampledSweepKillResumeIsByteIdentical) {
 }
 
 TEST(SweepSession, RejectsResultsFromADifferentManifest) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   const runner::SweepManifest manifest(small_sweep(), 7, true);
   {
     runner::SweepSession session(manifest, (dir / "r.jsonl").string());
@@ -690,7 +651,8 @@ TEST(SweepSession, RejectsResultsFromADifferentManifest) {
 }
 
 TEST(SweepSession, ReseedOffUsesEmbeddedSeeds) {
-  const fs::path dir = test_dir();
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
   proto::SimConfig cfg;
   cfg.duration = 3e3;
   cfg.seed = 424242;

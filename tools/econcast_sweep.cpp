@@ -3,11 +3,10 @@
 // the merge step that combines shard files into the canonical results.
 //
 //   econcast_sweep <manifest.json> [--results PATH] [--threads N]
-//                  [--limit N] [--engine NAME] [--hotpath NAME] [--fresh]
-//                  [--progress] [--quiet]
+//                  [--limit N] [--fresh] [--progress] [--quiet]
 //   econcast_sweep <manifest.json> --dry-run
 //   econcast_sweep <manifest.json> --shard I/K [--worker-id ID] [--threads N]
-//                  [--limit N] [--engine NAME] [--hotpath NAME] [--progress]
+//                  [--limit N] [--progress]
 //   econcast_sweep <manifest.json> --merge [--shards K] [--results PATH]
 //
 // Completed cells stream to the results JSONL next to the manifest (or
@@ -51,10 +50,7 @@
 #include "runner/cell_cache.h"
 #include "runner/cost_model.h"
 #include "runner/sweep_session.h"
-#include "sim/event_queue.h"
-#include "sim/hotpath.h"
 #include "util/json.h"
-#include "util/kernels.h"
 
 namespace {
 
@@ -77,8 +73,7 @@ double telemetry_now_s() {
   std::fprintf(
       stderr,
       "usage: %s <manifest.json> [--results PATH] [--threads N]\n"
-      "       [--limit N] [--engine NAME] [--hotpath NAME]\n"
-      "       [--kernels NAME] [--cache DIR|off] [--order NAME]\n"
+      "       [--limit N] [--cache DIR|off] [--order NAME]\n"
       "       [--fresh] [--progress] [--quiet]\n"
       "   or: %s <manifest.json> --dry-run\n"
       "   or: %s <manifest.json> --shard I/K [--worker-id ID] [options]\n"
@@ -92,15 +87,6 @@ double telemetry_now_s() {
       "  --threads N     cap worker threads (default: all cores)\n"
       "  --limit N       stop after N newly completed cells; rerun\n"
       "                  to resume from the checkpoint\n"
-      "  --engine NAME   event-queue backend for the simulated\n"
-      "                  cells: binary-heap or calendar (results\n"
-      "                  are identical; only wall clock changes)\n"
-      "  --hotpath NAME  simulator hot-path engine for the EconCast\n"
-      "                  cells: reference or optimized (results are\n"
-      "                  identical; only wall clock changes)\n"
-      "  --kernels NAME  micro-kernel tier for the whole process:\n"
-      "                  scalar or avx2 (default: best the CPU supports;\n"
-      "                  results are identical, only wall clock changes)\n"
       "  --cache DIR     content-addressed result cache: cells already in\n"
       "                  DIR skip execution, new cells are published; the\n"
       "                  results file is byte-identical either way\n"
@@ -222,10 +208,6 @@ void print_dry_run(const std::string& manifest_path,
   std::printf("  seeding:     base_seed %s, reseed %s\n",
               econcast::util::json::u64_to_string(manifest.base_seed).c_str(),
               manifest.reseed ? "true" : "false");
-  if (!manifest.queue_engine.empty())
-    std::printf("  queue_engine: %s\n", manifest.queue_engine.c_str());
-  if (!manifest.hotpath_engine.empty())
-    std::printf("  hotpath_engine: %s\n", manifest.hotpath_engine.c_str());
 }
 
 int cache_stats_main(int argc, char** argv) {
@@ -282,9 +264,6 @@ int main(int argc, char** argv) {
 
   std::string manifest_path;
   std::string results_path;
-  std::string engine;
-  std::string hotpath;
-  std::string kernels;
   std::string worker_id;
   std::string cache_dir;  // empty = caching off
   bool cost_order = false;
@@ -319,30 +298,6 @@ int main(int argc, char** argv) {
         usage(argv[0]);
     } else if (std::strcmp(arg, "--worker-id") == 0) {
       worker_id = value();
-    } else if (std::strcmp(arg, "--engine") == 0) {
-      engine = value();
-      try {
-        (void)econcast::sim::queue_engine_from_token(engine);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--hotpath") == 0) {
-      hotpath = value();
-      try {
-        (void)econcast::sim::hotpath_engine_from_token(hotpath);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--kernels") == 0) {
-      kernels = value();
-      try {
-        (void)econcast::util::kernel_tier_from_token(kernels);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        usage(argv[0]);
-      }
     } else if (std::strcmp(arg, "--cache") == 0) {
       cache_dir = value();
       if (cache_dir.empty()) usage(argv[0]);
@@ -382,13 +337,10 @@ int main(int argc, char** argv) {
   if ((dry_run ? 1 : 0) + (sharded ? 1 : 0) + (merge ? 1 : 0) > 1)
     usage(argv[0]);
   if (sharded && (fresh || !results_path.empty())) usage(argv[0]);
-  if (merge && (fresh || limit > 0 || !engine.empty() || !hotpath.empty() ||
-                !kernels.empty() || !cache_dir.empty() || order_set))
+  if (merge && (fresh || limit > 0 || !cache_dir.empty() || order_set))
     usage(argv[0]);
-  if (dry_run &&
-      (fresh || limit > 0 || !engine.empty() || !hotpath.empty() ||
-       !kernels.empty() || !results_path.empty() || !cache_dir.empty() ||
-       order_set))
+  if (dry_run && (fresh || limit > 0 || !results_path.empty() ||
+                  !cache_dir.empty() || order_set))
     usage(argv[0]);
   if (results_path.empty() && !sharded)
     results_path = runner::SweepSession::default_results_path(manifest_path);
@@ -408,31 +360,6 @@ int main(int argc, char** argv) {
   if (dry_run) {
     print_dry_run(manifest_path, manifest);
     return kExitOk;
-  }
-
-  // The kernel tier is process-global (it selects which SIMD tier the
-  // dispatched micro-kernels run; results are tier-independent). The token
-  // was validated at parse time; what can still fail here is hardware or
-  // build support, which is a runtime failure, not a usage error.
-  if (!kernels.empty()) {
-    try {
-      util::set_kernel_tier(util::kernel_tier_from_token(kernels));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "econcast_sweep: --kernels %s: %s\n",
-                   kernels.c_str(), e.what());
-      return kExitRuntime;
-    }
-  } else {
-    // No flag: force the first-use ECONCAST_KERNELS/cpuid resolution now,
-    // so a bad env value fails before the sweep starts instead of throwing
-    // out of a worker mid-run.
-    try {
-      (void)util::active_kernel_tier();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "econcast_sweep: ECONCAST_KERNELS: %s\n",
-                   e.what());
-      return kExitRuntime;
-    }
   }
 
   // Stage 2 — execution. Failures here leave a valid checkpoint behind and
@@ -456,8 +383,6 @@ int main(int argc, char** argv) {
       options.worker_id = worker_id;
       options.num_threads = threads;
       options.limit = limit;
-      options.queue_engine = engine;
-      options.hotpath_engine = hotpath;
       options.cache_dir = cache_dir;
       if (progress) {
         options.on_cell_done = [](const runner::ScenarioProgress& p) {
@@ -492,9 +417,6 @@ int main(int argc, char** argv) {
 
     if (fresh) std::remove(results_path.c_str());
 
-    if (!engine.empty()) manifest.queue_engine = engine;
-    if (!hotpath.empty()) manifest.hotpath_engine = hotpath;
-
     runner::SweepSession::Options options;
     options.num_threads = threads;
     if (!cache_dir.empty())
@@ -515,8 +437,7 @@ int main(int argc, char** argv) {
         std::size_t cells_this_run = 0;
       };
       auto eta = std::make_shared<EtaState>();
-      const std::vector<runner::Scenario> cells =
-          runner::expand_with_overrides(manifest);
+      const std::vector<runner::Scenario> cells = manifest.spec.expand();
       eta->prefix.resize(cells.size() + 1, 0.0);
       for (std::size_t i = 0; i < cells.size(); ++i)
         eta->prefix[i + 1] =

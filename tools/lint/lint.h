@@ -1,8 +1,8 @@
 // Self-hosted determinism lint for the EconCast tree.
 //
 // Every PR since the seed stakes correctness on one invariant: the printed
-// paper tables are byte-identical across thread counts, queue/hotpath/kernel
-// engines, and shard/merge topologies. That invariant dies silently the
+// paper tables are byte-identical across thread counts and shard/merge
+// topologies. That invariant dies silently the
 // moment a source file reaches for an ambient-nondeterministic primitive —
 // wall-clock time, an OS-seeded RNG, hash-table iteration order, pointer
 // values as sort keys, hidden thread_local state, or ad-hoc threads outside
