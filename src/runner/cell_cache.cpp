@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -27,6 +28,11 @@ using util::json::Value;
 constexpr const char* kEntryFormat = "econcast-cell-cache";
 constexpr int kKeySchema = 1;
 
+/// Process-wide publish counter: with the pid it names each publish's temp
+/// file uniquely, across processes and across threads (and CellCache
+/// instances) of one process.
+std::atomic<std::uint64_t> publish_sequence{0};
+
 /// Reads the whole file; true only when it holds one complete
 /// '\n'-terminated line (anything else — empty, truncated mid-write,
 /// multi-line garbage — is not a valid entry).
@@ -49,6 +55,15 @@ CellCache::CellCache(std::string dir, std::string epoch)
     : dir_(std::move(dir)), epoch_(std::move(epoch)) {
   if (dir_.empty())
     throw std::invalid_argument("cell cache needs a directory");
+}
+
+CellCache::Stats CellCache::stats() const noexcept {
+  Stats out;
+  out.hits = hits_.load();
+  out.misses = misses_.load();
+  out.rejected = rejected_.load();
+  out.publishes = publishes_.load();
+  return out;
 }
 
 Value CellCache::cell_key(const Scenario& cell, std::uint64_t seed) const {
@@ -79,9 +94,9 @@ CellCache::Probe CellCache::probe(const Scenario& cell, std::uint64_t seed) {
   if (!read_entry_line(path, line)) {
     std::error_code ec;
     if (fs::exists(path, ec))
-      ++stats_.rejected;  // present but empty/truncated/torn
+      ++rejected_;  // present but empty/truncated/torn
     else
-      ++stats_.misses;
+      ++misses_;
     return out;
   }
   try {
@@ -102,9 +117,9 @@ CellCache::Probe CellCache::probe(const Scenario& cell, std::uint64_t seed) {
       throw util::json::Error("result does not round-trip");
     out.hit = true;
     out.result = std::move(result);
-    ++stats_.hits;
+    ++hits_;
   } catch (const std::exception&) {
-    ++stats_.rejected;
+    ++rejected_;
     out.hit = false;
   }
   return out;
@@ -139,10 +154,12 @@ void CellCache::publish(const Scenario& cell, std::uint64_t seed,
     throw std::runtime_error("cannot create cache directory '" +
                              target.parent_path().string() +
                              "': " + ec.message());
-  // Pid-unique temp name: concurrent publishers of the same cell never
-  // clobber each other's half-written temp; the rename is atomic.
+  // Temp name unique per publish (pid + process-wide sequence): concurrent
+  // publishers of the same cell, in this process or another, never share or
+  // clobber a half-written temp; the rename is atomic.
   const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
+      std::to_string(publish_sequence.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out)
@@ -158,7 +175,7 @@ void CellCache::publish(const Scenario& cell, std::uint64_t seed,
     throw std::runtime_error("cannot rename cache entry '" + tmp + "' to '" +
                              path + "': " + rename_ec.message());
   }
-  ++stats_.publishes;
+  ++publishes_;
 }
 
 CellCache::DirStats CellCache::scan(const std::string& dir) {

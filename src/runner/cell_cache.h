@@ -31,14 +31,22 @@
 // cell recomputes. `cost`/`wall_ms` feed the cost model's calibration
 // (cost_model.h).
 //
-// Concurrency. publish() writes a temp file and renames it into place;
-// concurrent writers of the same cell write entries that agree on every
-// result byte (they may differ in the observed wall_ms metadata), so
-// whichever rename lands last wins and readers never observe a torn entry.
-// Multiple workers/processes may share one cache directory freely.
+// Concurrency. One CellCache may be used from many threads at once: a
+// SweepSession probes its pending cells in parallel on the executor, and
+// each worker publishes the cell it just computed (the serialized
+// completion hook only appends already-encoded lines). The stats counters
+// are atomic, so parallel probes and publishes keep exact counts. publish()
+// writes a temp file named by pid plus a process-wide sequence number —
+// unique across processes and across threads of one process — and renames
+// it into place; concurrent writers of the same cell write entries that
+// agree on every result byte (they may differ in the observed wall_ms
+// metadata), so whichever rename lands last wins and readers never observe
+// a torn entry. Multiple workers/processes may share one cache directory
+// freely.
 #ifndef ECONCAST_RUNNER_CELL_CACHE_H
 #define ECONCAST_RUNNER_CELL_CACHE_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -57,6 +65,7 @@ inline constexpr const char* kCacheEpoch = "econcast-epoch-2";
 
 class CellCache {
  public:
+  /// A snapshot of the counters (see stats()).
   struct Stats {
     std::size_t hits = 0;       // probe found a valid entry
     std::size_t misses = 0;     // no entry on disk (a foreign epoch hashes
@@ -76,7 +85,9 @@ class CellCache {
   explicit CellCache(std::string dir, std::string epoch = kCacheEpoch);
 
   const std::string& dir() const noexcept { return dir_; }
-  const Stats& stats() const noexcept { return stats_; }
+  /// Counters so far. Safe to call while other threads probe/publish; each
+  /// counter is exact once those calls have returned.
+  Stats stats() const noexcept;
 
   /// The canonical key object for a cell (see file comment for contents).
   util::json::Value cell_key(const Scenario& cell, std::uint64_t seed) const;
@@ -85,8 +96,9 @@ class CellCache {
   std::string entry_path(const util::json::Value& key) const;
 
   /// Looks the cell up, re-validating any stored entry. Never throws on a
-  /// bad entry — validation failures count as rejected+miss and the caller
-  /// recomputes. Updates stats.
+  /// bad entry — validation failures count as rejected and the caller
+  /// recomputes. Updates stats; counts exactly one of hit, miss or
+  /// rejected per call.
   Probe probe(const Scenario& cell, std::uint64_t seed);
 
   /// Existence-only probe (no read, no validation, no stats) — the cheap
@@ -127,7 +139,10 @@ class CellCache {
  private:
   std::string dir_;
   std::string epoch_;
-  Stats stats_;
+  std::atomic<std::size_t> hits_{0};
+  std::atomic<std::size_t> misses_{0};
+  std::atomic<std::size_t> rejected_{0};
+  std::atomic<std::size_t> publishes_{0};
 };
 
 }  // namespace econcast::runner

@@ -130,6 +130,9 @@ BatchResult ScenarioRunner::run_with_seeds(
     const auto finished = std::chrono::steady_clock::now();
     wall_ms[i] =
         std::chrono::duration<double, std::milli>(finished - started).count();
+    if (options_.on_scenario_computed)
+      options_.on_scenario_computed(ScenarioProgress{
+          i, 0, batch.size(), &s, &out.results[i], wall_ms[i]});
   };
 
   exec::Executor::ProgressFn progress;

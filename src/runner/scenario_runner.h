@@ -75,6 +75,7 @@ Scenario econcast_scenario(std::string name, model::NodeSet nodes,
 struct ScenarioProgress {
   std::size_t index = 0;  // position in the submitted batch
   std::size_t done = 0;   // scenarios completed so far, including this one
+                          // (0 in on_scenario_computed: not yet counted)
   std::size_t total = 0;
   const Scenario* scenario = nullptr;
   const protocol::SimResult* result = nullptr;
@@ -112,6 +113,16 @@ struct RunnerOptions {
   /// Opt-in per-scenario completion hook (progress lines, checkpoint
   /// streaming). See ScenarioProgress for the invocation contract.
   std::function<void(const ScenarioProgress&)> on_scenario_done;
+
+  /// Opt-in per-scenario worker-side hook: runs on the thread that computed
+  /// scenario `index`, right after its result is written and before that
+  /// scenario's on_scenario_done. Calls are *not* serialized — concurrent
+  /// invocations for different scenarios overlap — so the body must confine
+  /// its writes to per-index state or synchronize itself. This is where
+  /// per-cell work that needs no ordering (cache publish, result encoding)
+  /// belongs, off the serialized hook. `done` is 0. An exception thrown
+  /// here fails the scenario like one thrown by its simulation.
+  std::function<void(const ScenarioProgress&)> on_scenario_computed;
 };
 
 /// Index-ordered summary statistics over a batch (one sample per scenario).

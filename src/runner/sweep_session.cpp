@@ -136,38 +136,58 @@ std::size_t SweepSession::run(std::size_t limit) {
     throw std::runtime_error("cannot append to results file '" +
                              results_path_ + "'");
 
-  // Cache probe pass. Hits park their decoded (and re-validated) results in
-  // `cached` — stable storage, the vector never resizes — and skip the
-  // executor entirely; only the misses in `miss_local` run.
+  RunnerOptions runner_options;
+  runner_options.num_threads = options_.num_threads;
+  runner_options.executor = options_.executor;
+
+  // Cache probe pass, in parallel on the session's executor (each probe
+  // writes only its own slot). Hits park their decoded (and re-validated)
+  // results in `cached` — stable storage, the vector never resizes — and
+  // skip execution entirely; only the misses in `miss_local` run.
   std::vector<std::optional<protocol::SimResult>> cached(todo);
   std::vector<std::size_t> miss_local;  // local (range-relative) indices
   if (options_.cache) {
-    for (std::size_t local = 0; local < todo; ++local) {
+    CellCache& cache = *options_.cache;
+    ScenarioRunner(runner_options).for_each(todo, [&](std::size_t local) {
       const std::size_t g = offset + local;
-      CellCache::Probe probe = options_.cache->probe(batch_[g], cell_seed(g));
-      if (probe.hit)
-        cached[local] = std::move(probe.result);
-      else
-        miss_local.push_back(local);
-    }
+      CellCache::Probe probe = cache.probe(batch_[g], cell_seed(g));
+      if (probe.hit) cached[local] = std::move(probe.result);
+    });
+    for (std::size_t local = 0; local < todo; ++local)
+      if (!cached[local]) miss_local.push_back(local);
   } else {
     miss_local.resize(todo);
     std::iota(miss_local.begin(), miss_local.end(), std::size_t{0});
   }
 
-  // Completion-order reorder buffer (the hook below is serialized by the
-  // executor): buffer out-of-order cells, append the ready prefix so the
-  // file never has gaps, then report session-global progress. The file
-  // bytes depend only on cell indices — never on where a result came from
-  // (cache or execution) or what order the executor finished in.
+  // Completion-order reorder buffer: `ready` marks cells whose result is
+  // final, `lines` holds their encoded records. A computed cell's line is
+  // encoded on its worker thread; a hit's is encoded only when it is
+  // flushed, and every line is freed once written, so at most the
+  // out-of-order window is held encoded. flush_ready (called on the
+  // submitting thread, then under the executor's serialized hook) appends
+  // the ready prefix so the file never has gaps, then reports
+  // session-global progress. The file bytes depend only on cell indices —
+  // never on where a result came from (cache or execution) or what order
+  // the executor finished in.
   std::vector<const protocol::SimResult*> ready(todo, nullptr);
+  std::vector<std::string> lines(todo);
   for (std::size_t local = 0; local < todo; ++local)
     if (cached[local]) ready[local] = &*cached[local];
   std::size_t next_flush = 0;
   const auto flush_ready = [&] {
     while (next_flush < todo && ready[next_flush] != nullptr) {
-      completed_.push_back(*ready[next_flush]);
-      out << record_line(offset + next_flush, *ready[next_flush]);
+      const std::size_t local = next_flush;
+      std::string& line = lines[local];
+      if (line.empty()) line = record_line(offset + local, *ready[local]);
+      // A hit's result is owned here and moves; a computed one is copied
+      // out of the runner's batch.
+      if (cached[local])
+        completed_.push_back(std::move(*cached[local]));
+      else
+        completed_.push_back(*ready[local]);
+      out << line;
+      std::string().swap(line);
       if (!out.flush())
         throw std::runtime_error("write to results file '" + results_path_ +
                                  "' failed");
@@ -198,24 +218,27 @@ std::size_t SweepSession::run(std::size_t limit) {
       seeds.push_back(cell_seed(offset + local));
     }
 
-    RunnerOptions runner_options;
-    runner_options.num_threads = options_.num_threads;
-    runner_options.executor = options_.executor;
-    runner_options.on_scenario_done = [&](const ScenarioProgress& p) {
-      // p.index is the cell's position in `pending` regardless of the
-      // submission permutation (run_with_seeds keys progress by original
-      // batch index).
+    // p.index is the cell's position in `pending` regardless of the
+    // submission permutation (run_with_seeds keys progress by original
+    // batch index). The worker-side hook does everything that needs no
+    // ordering — publish and encode — on the cell's own thread, writing
+    // only that cell's slot; the serialized hook just marks it ready and
+    // appends.
+    runner_options.on_scenario_computed = [&](const ScenarioProgress& p) {
       const std::size_t local = miss_local[p.index];
       if (options_.cache) {
         try {
-          options_.cache->publish(batch_[offset + local], seeds[p.index],
-                                  *p.result, p.wall_ms);
+          options_.cache->publish(pending[p.index], seeds[p.index], *p.result,
+                                  p.wall_ms);
         } catch (const std::exception&) {
           // The cache is an optimization: a read-only or full cache
           // directory degrades to recomputing, it never fails the sweep.
         }
       }
-      ready[local] = p.result;
+      lines[local] = record_line(offset + local, *p.result);
+    };
+    runner_options.on_scenario_done = [&](const ScenarioProgress& p) {
+      ready[miss_local[p.index]] = p.result;
       flush_ready();
     };
 

@@ -10,17 +10,24 @@
 // byte-identical to an uninterrupted one (covered by
 // tests/test_sweep_session.cpp).
 //
-// Results stream through ScenarioRunner's on_scenario_done hook: cells
-// complete on executor threads in any order, the hook (serialized) buffers
-// out-of-order completions and appends the ready prefix, so a crash never
-// loses more than the cells still in flight.
+// Thread division. Cells complete on executor threads in any order. Each
+// worker does the per-cell work that needs no ordering on its own thread:
+// it probes the cache (a parallel pass over the pending cells before any
+// cell runs), and after computing a cell it publishes it to the cache and
+// encodes its results line (ScenarioRunner's unserialized
+// on_scenario_computed hook). The serialized on_scenario_done hook only
+// marks the cell ready and appends the ready prefix of already-encoded
+// lines in index order (a cache hit's line is encoded when it is appended),
+// so a crash never loses more than the cells still in flight and no cache
+// or encoding work waits behind the hook's lock.
 //
 // Two throughput layers sit on top (both output-invisible by construction):
 //  - A content-addressed CellCache (cell_cache.h). Before submitting the
 //    pending range, the session probes every cell; hits are fed straight
 //    into the reorder buffer and only misses run. Completed misses are
-//    published back. A warm rerun therefore executes zero cells while
-//    producing byte-identical results files.
+//    published back by the worker that computed them. A warm rerun
+//    therefore executes zero cells while producing byte-identical results
+//    files.
 //  - Cost-model submission order (cost_model.h). With SubmitOrder::kCost the
 //    pending misses are submitted longest-expected-first (LPT), shrinking
 //    the makespan tail where one heavy cell lands last on a busy pool. The
@@ -80,9 +87,10 @@ class SweepSession {
     std::size_t cell_end = 0;
     /// Result cache shared with other sessions/processes; null disables
     /// caching. run() probes it before submitting (hits skip execution
-    /// entirely) and publishes every newly computed cell. The same pointer
-    /// may back many sessions — CellCache keeps per-instance stats, and the
-    /// on-disk directory is multi-process safe.
+    /// entirely) and publishes every newly computed cell, both from worker
+    /// threads. The same pointer may back many sessions — CellCache keeps
+    /// per-instance atomic stats, and the on-disk directory is multi-process
+    /// safe.
     std::shared_ptr<CellCache> cache;
     /// See SubmitOrder. kCost calibrates a CostModel from the cache
     /// directory (when a cache is attached) so the ordering improves as

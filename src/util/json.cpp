@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -333,19 +334,25 @@ std::string format_double(double d) {
   if (!std::isfinite(d)) throw Error("json: NaN/Inf is not representable");
   // Integral doubles inside the exactly-representable range print as plain
   // integers (stable, exponent-free — these are counts and axis values).
+  char buf[40];
   if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0) {  // 2^53
     if (d == 0.0 && std::signbit(d)) return "-0";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    return buf;
+    const auto r = std::to_chars(buf, buf + sizeof(buf),
+                                 static_cast<long long>(d));
+    return std::string(buf, r.ptr);
   }
-  char buf[40];
+  // to_chars with an explicit precision is specified as printf's %.*g in
+  // the C locale, so these are the bytes %.15g/%.16g/%.17g would give —
+  // without snprintf's LC_NUMERIC dependence.
+  std::to_chars_result r{};
   for (const int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    const double back = std::strtod(buf, nullptr);
-    if (std::memcmp(&back, &d, sizeof(double)) == 0) return buf;
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      precision);
+    double back = 0.0;
+    std::from_chars(buf, r.ptr, back);
+    if (std::memcmp(&back, &d, sizeof(double)) == 0) break;
   }
-  return buf;  // %.17g always round-trips IEEE double
+  return std::string(buf, r.ptr);  // %.17g always round-trips IEEE double
 }
 
 std::string u64_to_string(std::uint64_t v) { return std::to_string(v); }

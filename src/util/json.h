@@ -114,10 +114,11 @@ Value parse(std::string_view text);
 /// checkpoint write mid-sweep; decode such fields with as_number_or_nan.
 std::string dump(const Value& value, int indent = -1);
 
-/// Shortest decimal string that strtod parses back to exactly `d` (tries
-/// %.15g, %.16g, %.17g). Integral values within 2^53 print without exponent
-/// or decimal point. Deterministic for a given double. Throws Error on
-/// NaN/Inf — only dump applies the null encoding.
+/// Shortest decimal string that parses back to exactly `d`: the first of
+/// the %.15g, %.16g, %.17g forms (produced by std::to_chars, so independent
+/// of the C locale) that round-trips. Integral values within 2^53 print
+/// without exponent or decimal point. Deterministic for a given double.
+/// Throws Error on NaN/Inf — only dump applies the null encoding.
 std::string format_double(double d);
 
 /// Decimal-string codec for full-range 64-bit values (seeds).

@@ -8,6 +8,8 @@
 # is recorded. Two CI sweep manifests also run through econcast_sweep, and
 # the SHA-256 of each results JSONL is recorded: fig3a (from
 # `bench_fig3_vs_prior_art 1`) and fig2 (from `bench_fig2_heterogeneity 2`).
+# fig2 is also run cold and then warm through `--cache DIR --threads 4`;
+# both must reproduce the uncached fig2 bytes (in either mode).
 #
 # check  recomputes every digest and fails, naming each entry, on any
 #        difference (the golden_digests ctest).
@@ -65,6 +67,29 @@ run("${work}/fig2-bench.stdout" "${BUILD_DIR}/bench/bench_fig2_heterogeneity"
 run("${work}/fig2.log" "${sweep}" "${work}/fig2/fig2.manifest.json"
     --results "${work}/fig2.jsonl" --threads 2 --quiet)
 record("fig2.results.jsonl" "${work}/fig2.jsonl")
+
+# The same fig2 manifest through a cell cache on 4 threads, cold and then
+# warm. Workers probe, publish and encode concurrently there, and both
+# results files must hash to the uncached fig2 digest just computed; they
+# add no digest line of their own. The warm pass must execute nothing.
+file(SHA256 "${work}/fig2.jsonl" fig2_digest)
+foreach(pass cold warm)
+  run("${work}/fig2-${pass}.log" "${sweep}" "${work}/fig2/fig2.manifest.json"
+      --results "${work}/fig2-${pass}.jsonl" --cache "${work}/fig2-cache"
+      --threads 4)
+  file(SHA256 "${work}/fig2-${pass}.jsonl" digest)
+  file(READ "${work}/fig2-${pass}.log" log)
+  if(pass STREQUAL "cold")
+    set(want_stats "cache: 0 hits, [0-9]+ misses, 0 rejected")
+  else()
+    set(want_stats "cache: [0-9]+ hits, 0 misses, 0 rejected, 0 published")
+  endif()
+  if(NOT digest STREQUAL fig2_digest OR NOT log MATCHES "${want_stats}")
+    message(FATAL_ERROR "golden.cmake: fig2 ${pass} run through --cache "
+            "--threads 4 differs from the uncached fig2 results or its "
+            "cache stats (outputs kept in ${work}):\n${log}")
+  endif()
+endforeach()
 
 if(MODE STREQUAL "update")
   file(WRITE "${DIGESTS}" "${lines}")

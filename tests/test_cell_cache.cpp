@@ -128,27 +128,28 @@ TEST(CellCache, ConcurrentPublishersOfOneCellNeverTearTheEntry) {
   protocol::SimResult result;
   result.groupput = 0.125;
 
-  // All writers publish identical bytes (same cell, same wall_ms). The
-  // pid-unique temp name de-conflicts *processes*; same-process rivals can
-  // race each other's rename, which surfaces as a publish error — losing
-  // the race is fine as long as at least one publish lands and the entry is
-  // never torn.
-  std::atomic<int> published{0};
+  // All writers publish identical bytes (same cell, same wall_ms). Every
+  // publish gets its own temp file (pid + process-wide sequence), so rival
+  // threads — sharing one CellCache or each holding their own — never race
+  // on a temp name: every publish must land, and the entry is never torn.
+  std::atomic<int> failed{0};
+  runner::CellCache shared(cache_dir);
   std::vector<std::thread> writers;
   for (int t = 0; t < 8; ++t)
-    writers.emplace_back([&cache_dir, &cells, &result, &published] {
-      runner::CellCache cache(cache_dir);
+    writers.emplace_back([&cache_dir, &cells, &result, &failed, &shared, t] {
+      runner::CellCache own(cache_dir);
+      runner::CellCache& cache = t % 2 == 0 ? shared : own;
       for (int i = 0; i < 25; ++i) {
         try {
           cache.publish(cells[0], 42, result, 1.0);
-          published.fetch_add(1);
         } catch (const std::runtime_error&) {
-          // Lost a rename race to a rival publisher.
+          failed.fetch_add(1);
         }
       }
     });
   for (std::thread& w : writers) w.join();
-  EXPECT_GE(published.load(), 1);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(shared.stats().publishes, 4u * 25u);
 
   // One entry, valid, with the agreed result bytes; no leftover temp files.
   runner::CellCache reader(cache_dir);

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "util/json.h"
+#include "util/random.h"
 
 namespace {
 
@@ -102,6 +107,63 @@ TEST(Json, DoubleFormatIsShortestRoundTrip) {
   EXPECT_EQ(json::format_double(-0.0), "-0");       // sign preserved
   EXPECT_THROW(json::format_double(NAN), json::Error);
   EXPECT_THROW(json::format_double(INFINITY), json::Error);
+}
+
+/// The pre-<charconv> format_double, kept as the byte-level reference:
+/// printf's %lld / %.15g / %.16g / %.17g with a strtod round-trip check.
+std::string snprintf_format_double(double d) {
+  char buf[40];
+  if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0) {
+    if (d == 0.0 && std::signbit(d)) return "-0";
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    return buf;
+  }
+  for (const int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    const double back = std::strtod(buf, nullptr);
+    if (std::memcmp(&back, &d, sizeof(double)) == 0) return buf;
+  }
+  return buf;
+}
+
+TEST(Json, DoubleFormatMatchesSnprintfOnSeededCorpus) {
+  std::vector<double> corpus;
+  // Powers of ten across the whole range, subnormal through near-max.
+  for (int e = -323; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    corpus.insert(corpus.end(), {p, -p, std::nextafter(p, 0.0),
+                                 std::nextafter(p, INFINITY)});
+  }
+  // Integers at and above 2^53 (the exponent-form path) and just below it.
+  for (int k = 50; k <= 70; ++k) {
+    const double p = std::ldexp(1.0, k);
+    corpus.insert(corpus.end(), {p, -p, p + std::ldexp(1.0, k - 52),
+                                 p - std::ldexp(1.0, k - 53), p * 3.0});
+  }
+  corpus.insert(corpus.end(), {123456789012345678.0, 1e17, 1e21, 1e22,
+                               9007199254740991.0, -9007199254740991.0});
+  // Seeded raw bit patterns (every exponent, subnormals included) and
+  // uniform-magnitude values (the common case: rates, probabilities).
+  std::uint64_t state = 0x5EEDF00DULL;
+  while (corpus.size() < 200000) {
+    const std::uint64_t bits = econcast::util::splitmix64_next(state);
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) corpus.push_back(d);
+    corpus.push_back(static_cast<double>(bits >> 11) * 0x1.0p-53);
+    // Subnormals: a random mantissa with a zero exponent field.
+    const std::uint64_t sub = bits & 0x800FFFFFFFFFFFFFULL;
+    std::memcpy(&d, &sub, sizeof d);
+    corpus.push_back(d);
+  }
+  std::size_t mismatches = 0;
+  for (const double d : corpus) {
+    const std::string got = json::format_double(d);
+    const std::string want = snprintf_format_double(d);
+    if (got != want && ++mismatches <= 10)
+      ADD_FAILURE() << "format_double(" << want << ") gave " << got;
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << corpus.size() << " doubles";
 }
 
 TEST(Json, NumbersSurviveDumpParse) {

@@ -6,7 +6,11 @@
 //    included),
 //  - resume-after-kill: truncate the results JSONL mid-sweep (both at a line
 //    boundary and mid-line), resume, and compare byte-for-byte against an
-//    uninterrupted run.
+//    uninterrupted run,
+//  - a cached session on a 4-worker executor (workers probe, publish and
+//    encode; the serialized hook only appends): off/cold/warm/half-warm
+//    bytes identical, exact cache stats, in-order on_cell_done, and an
+//    unwritable cache degrading to recompute.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,10 +18,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "exec/executor.h"
 #include "protocol/protocol_json.h"
 #include "runner/manifest.h"
 #include "runner/scenario_runner.h"
@@ -667,6 +673,99 @@ TEST(SweepSession, ReseedOffUsesEmbeddedSeeds) {
   proto::Simulation direct(model::homogeneous(5, 10.0, 500.0, 500.0),
                            model::Topology::clique(5), cfg);
   EXPECT_EQ(session.results().results[0].groupput, direct.run().groupput);
+}
+
+// ------------------------------------ cache + multi-worker thread division --
+
+/// Runs one session over `manifest` and checks the per-cell hook contract
+/// on the way: on_cell_done fires once per cell, in index order, with
+/// `done` advancing by exactly one.
+std::string run_checked(const runner::SweepManifest& manifest,
+                        const fs::path& results,
+                        runner::SweepSession::Options options) {
+  std::vector<std::size_t> indices;
+  std::vector<std::size_t> dones;
+  options.on_cell_done = [&](const runner::ScenarioProgress& p) {
+    indices.push_back(p.index);
+    dones.push_back(p.done);
+  };
+  runner::SweepSession session(manifest, results.string(), options);
+  const std::size_t n = session.cell_count();
+  EXPECT_EQ(session.run(), n);
+  EXPECT_EQ(indices.size(), n);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    EXPECT_EQ(indices[i], i);
+    EXPECT_EQ(dones[i], i + 1);
+  }
+  return slurp(results);
+}
+
+/// Exactly one probe outcome per cell, and every executed cell published.
+void expect_exact_stats(const runner::CellCache& cache, std::size_t cells,
+                        std::size_t hits) {
+  const runner::CellCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.rejected, cells);
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.publishes, stats.misses);
+}
+
+TEST(SweepSession, CachedRunsOnFourWorkersAreByteIdenticalWithExactStats) {
+  // Workers probe, publish and encode concurrently; the serialized hook
+  // only appends. None of that may show in the bytes, the stats or the
+  // hook order. 32 cells (cheap P4 cells interleaved with short
+  // simulations) so completions genuinely arrive out of order.
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
+  const runner::SweepManifest manifest(small_sweep().replicates(4), 11, true);
+  const std::string cache_dir = (dir / "cache").string();
+  runner::SweepSession::Options options;
+  options.executor = std::make_shared<exec::Executor>(4);
+  options.num_threads = 4;
+
+  const std::string reference = run_checked(manifest, dir / "off.jsonl",
+                                            options);
+  const std::size_t cells = manifest.spec.expand().size();
+  ASSERT_EQ(cells, 32u);
+
+  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  EXPECT_EQ(run_checked(manifest, dir / "cold.jsonl", options), reference);
+  expect_exact_stats(*options.cache, cells, 0);
+
+  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  EXPECT_EQ(run_checked(manifest, dir / "warm.jsonl", options), reference);
+  expect_exact_stats(*options.cache, cells, cells);
+
+  // Half warm: drop every odd cell's entry, so hits and computed cells
+  // interleave in the reorder buffer; the dropped ones republish.
+  const std::vector<runner::Scenario> batch = manifest.spec.expand();
+  for (std::size_t i = 1; i < cells; i += 2) {
+    const std::uint64_t seed = runner::manifest_cell_seed(manifest, batch[i], i);
+    fs::remove(options.cache->entry_path(options.cache->cell_key(batch[i], seed)));
+  }
+  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  options.order = runner::SweepSession::SubmitOrder::kCost;
+  EXPECT_EQ(run_checked(manifest, dir / "half.jsonl", options), reference);
+  expect_exact_stats(*options.cache, cells, cells / 2);
+}
+
+TEST(SweepSession, UnwritableCacheOnFourWorkersDegradesToRecompute) {
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
+  const runner::SweepManifest manifest(small_sweep(), 7, true);
+  std::ofstream(dir / "blocker") << "";  // a file, so <dir>/blocker/.. fails
+  runner::SweepSession::Options options;
+  options.executor = std::make_shared<exec::Executor>(4);
+  options.num_threads = 4;
+
+  const std::string reference = run_checked(manifest, dir / "off.jsonl",
+                                            options);
+  options.cache =
+      std::make_shared<runner::CellCache>((dir / "blocker" / "c").string());
+  EXPECT_EQ(run_checked(manifest, dir / "run.jsonl", options), reference);
+  const runner::CellCache::Stats stats = options.cache->stats();
+  EXPECT_EQ(stats.misses, 16u);
+  EXPECT_EQ(stats.publishes, 0u);
 }
 
 TEST(SweepSession, DefaultResultsPath) {

@@ -478,7 +478,7 @@ int main(int argc, char** argv) {
         std::printf("throughput: %zu cells in %.2fs (%.1f cells/s)\n", ran,
                     elapsed_s, static_cast<double>(ran) / elapsed_s);
       if (session.cache() != nullptr) {
-        const runner::CellCache::Stats& cs = session.cache()->stats();
+        const runner::CellCache::Stats cs = session.cache()->stats();
         std::printf("cache: %zu hits, %zu misses, %zu rejected, "
                     "%zu published (%s)\n",
                     cs.hits, cs.misses, cs.rejected, cs.publishes,
