@@ -8,6 +8,8 @@
 #ifndef ECONCAST_BENCH_BENCH_COMMON_H
 #define ECONCAST_BENCH_BENCH_COMMON_H
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,13 +64,15 @@ inline bool bool_flag(int argc, char** argv, const char* name) {
 }
 
 /// Directory the sweep-shaped benches write manifests/results into:
-/// --manifest-dir=DIR if given, else <temp>/<default_name>. Created on
-/// demand.
+/// --manifest-dir=DIR if given, else <temp>/<default_name>-<pid>, so
+/// concurrent runs of one bench never share a directory. Created on demand.
 inline std::string manifest_dir(int argc, char** argv,
                                 const char* default_name) {
   std::string dir = flag(argc, argv, "--manifest-dir");
   if (dir.empty())
-    dir = (std::filesystem::temp_directory_path() / default_name).string();
+    dir = (std::filesystem::temp_directory_path() /
+           (std::string(default_name) + "-" + std::to_string(::getpid())))
+              .string();
   std::filesystem::create_directories(dir);
   return dir;
 }

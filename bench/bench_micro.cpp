@@ -79,6 +79,26 @@ void BM_P4SolveAccelerated(benchmark::State& state) {
 }
 BENCHMARK(BM_P4SolveAccelerated)->Arg(5)->Arg(8);
 
+// The path the Fig. 2 sweep actually takes: a heterogeneous N = 5 network
+// goes to the accelerated solver (homogeneous ones, as above, take the
+// symmetric bisection under the automatic method). One seeded §VII-B
+// network per h; Arg 0 is h, Arg 1 is σ in hundredths.
+void BM_P4SolveHeterogeneous(benchmark::State& state) {
+  util::Rng rng(0xF162000);
+  const auto nodes = model::sample_heterogeneous(
+      5, static_cast<double>(state.range(0)), rng);
+  const double sigma = static_cast<double>(state.range(1)) / 100.0;
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    const gibbs::P4Result r =
+        gibbs::solve_p4(nodes, model::Mode::kGroupput, sigma);
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel("solver iterations=" + std::to_string(iterations));
+}
+BENCHMARK(BM_P4SolveHeterogeneous)->ArgsProduct({{50, 250}, {10, 25, 50}});
+
 void BM_OracleGroupputLP(benchmark::State& state) {
   const auto nodes = model::homogeneous(
       static_cast<std::size_t>(state.range(0)), 10.0, 500.0, 500.0);

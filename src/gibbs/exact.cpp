@@ -1,5 +1,6 @@
 #include "gibbs/exact.h"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -10,19 +11,36 @@ namespace econcast::gibbs {
 
 using model::NetState;
 
+namespace {
+constexpr std::size_t kMaxNodes = 16;
+}  // namespace
+
 ExactGibbs::ExactGibbs(model::NodeSet nodes, model::Mode mode, double sigma)
     : nodes_(std::move(nodes)), mode_(mode), sigma_(sigma) {
   model::validate(nodes_);
   if (!(sigma > 0.0)) throw std::invalid_argument("sigma must be positive");
-  if (nodes_.size() > 16)
+  if (nodes_.size() > kMaxNodes)
     throw std::invalid_argument(
         "ExactGibbs supports N <= 16; use SymmetricGibbs for large "
         "homogeneous networks");
+  states_.reserve(model::state_space_size(nodes_.size()));
+  model::for_each_state(nodes_.size(), [&](const NetState& s) {
+    states_.push_back(StateRow{static_cast<std::uint16_t>(s.listeners),
+                               static_cast<std::int16_t>(s.transmitter)});
+  });
 }
 
 void ExactGibbs::check_eta(const std::vector<double>& eta) const {
   if (eta.size() != nodes_.size())
     throw std::invalid_argument("eta size mismatch");
+}
+
+// model::state_throughput of the row's state.
+double ExactGibbs::throughput(const StateRow& row) const noexcept {
+  if (row.transmitter < 0) return 0.0;
+  if (mode_ == model::Mode::kGroupput)
+    return static_cast<double>(std::popcount(row.listeners));
+  return row.listeners != 0 ? 1.0 : 0.0;
 }
 
 double ExactGibbs::log_weight(const NetState& state,
@@ -42,87 +60,109 @@ double ExactGibbs::log_weight(const NetState& state,
   return exponent / sigma_;
 }
 
-Marginals ExactGibbs::marginals(const std::vector<double>& eta) const {
+// Same arithmetic, in the same order, as log_weight on every state: start
+// at T_w, subtract the listener terms in ascending bit order, then the
+// transmitter term, divide by σ, and accumulate log Z in enumeration order.
+// The products η_i L_i and η_i X_i are formed once per pass; they are the
+// same doubles log_weight forms per state, so every weight is bit-identical.
+double ExactGibbs::log_weights(const std::vector<double>& eta,
+                               std::vector<double>& weights) const {
   check_eta(eta);
-  const std::size_t n = nodes_.size();
-
-  // First pass: log Z. Second pass folded in by accumulating per-node and
-  // throughput expectations as weighted log-sums.
+  std::array<double, kMaxNodes> listen_cost{};
+  std::array<double, kMaxNodes> transmit_cost{};
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    listen_cost[i] = eta[i] * nodes_[i].listen_power;
+    transmit_cost[i] = eta[i] * nodes_[i].transmit_power;
+  }
+  weights.resize(states_.size());
   util::LogSumExp log_z;
-  model::for_each_state(n, [&](const NetState& s) {
-    log_z.add(log_weight(s, eta));
-  });
-  const double lz = log_z.value();
-
-  Marginals out;
-  out.log_partition = lz;
-  out.alpha.assign(n, 0.0);
-  out.beta.assign(n, 0.0);
-  double expected_t = 0.0;
-  double expected_exponent = 0.0;  // E[log-weight] for the entropy
-  model::for_each_state(n, [&](const NetState& s) {
-    const double lw = log_weight(s, eta);
-    const double p = std::exp(lw - lz);
-    if (p == 0.0) return;
-    std::uint64_t mask = s.listeners;
+  for (std::size_t k = 0; k < states_.size(); ++k) {
+    const StateRow row = states_[k];
+    double exponent = throughput(row);
+    unsigned mask = row.listeners;
     while (mask) {
-      const int i = std::countr_zero(mask);
-      out.alpha[static_cast<std::size_t>(i)] += p;
+      exponent -= listen_cost[static_cast<std::size_t>(std::countr_zero(mask))];
       mask &= mask - 1;
     }
-    if (s.has_transmitter())
-      out.beta[static_cast<std::size_t>(s.transmitter)] += p;
-    expected_t += p * model::state_throughput(s, mode_);
+    if (row.transmitter >= 0)
+      exponent -= transmit_cost[static_cast<std::size_t>(row.transmitter)];
+    const double lw = exponent / sigma_;
+    weights[k] = lw;
+    log_z.add(lw);
+  }
+  return log_z.value();
+}
+
+Marginals ExactGibbs::marginals(const std::vector<double>& eta) const {
+  std::vector<double> lw;
+  const double lz = log_weights(eta, lw);
+  return marginals(lw, lz);
+}
+
+Marginals ExactGibbs::marginals(const std::vector<double>& weights,
+                                double log_z) const {
+  if (weights.size() != states_.size())
+    throw std::invalid_argument("log-weight buffer size mismatch");
+  Marginals out;
+  out.log_partition = log_z;
+  out.alpha.assign(nodes_.size(), 0.0);
+  out.beta.assign(nodes_.size(), 0.0);
+  double expected_t = 0.0;
+  double expected_exponent = 0.0;  // E[log-weight] for the entropy
+  for (std::size_t k = 0; k < states_.size(); ++k) {
+    const double lw = weights[k];
+    const double p = std::exp(lw - log_z);
+    if (p == 0.0) continue;
+    const StateRow row = states_[k];
+    unsigned mask = row.listeners;
+    while (mask) {
+      out.alpha[static_cast<std::size_t>(std::countr_zero(mask))] += p;
+      mask &= mask - 1;
+    }
+    if (row.transmitter >= 0)
+      out.beta[static_cast<std::size_t>(row.transmitter)] += p;
+    expected_t += p * throughput(row);
     expected_exponent += p * lw;
-  });
+  }
   out.expected_throughput = expected_t;
-  out.entropy = lz - expected_exponent;
+  out.entropy = log_z - expected_exponent;
   return out;
 }
 
 BurstSums ExactGibbs::burst_sums(const std::vector<double>& eta) const {
-  check_eta(eta);
-  const std::size_t n = nodes_.size();
-  util::LogSumExp log_z, mass, rate;
-  model::for_each_state(n, [&](const NetState& s) {
-    const double lw = log_weight(s, eta);
-    log_z.add(lw);
-    if (s.has_transmitter() && s.any_listener()) {
-      mass.add(lw);
-      // Groupput bursts end at rate exp(-c_w/σ), anyput at exp(-γ_w/σ).
-      const double end_rate = mode_ == model::Mode::kGroupput
-                                  ? static_cast<double>(s.listener_count())
-                                  : 1.0;
-      rate.add(lw - end_rate / sigma_);
-    }
-  });
-  const double lz = log_z.value();
+  std::vector<double> lw;
+  const double lz = log_weights(eta, lw);
+  util::LogSumExp mass, rate;
+  for (std::size_t k = 0; k < states_.size(); ++k) {
+    const StateRow row = states_[k];
+    if (row.transmitter < 0 || row.listeners == 0) continue;
+    mass.add(lw[k]);
+    // Groupput bursts end at rate exp(-c_w/σ), anyput at exp(-γ_w/σ).
+    const double end_rate = mode_ == model::Mode::kGroupput
+                                ? static_cast<double>(std::popcount(row.listeners))
+                                : 1.0;
+    rate.add(lw[k] - end_rate / sigma_);
+  }
   return BurstSums{mass.value() - lz, rate.value() - lz};
 }
 
 std::vector<double> ExactGibbs::distribution(
     const std::vector<double>& eta) const {
-  check_eta(eta);
-  const std::size_t n = nodes_.size();
-  std::vector<double> pi(model::state_space_size(n));
-  util::LogSumExp log_z;
-  model::for_each_state(n, [&](const NetState& s) {
-    log_z.add(log_weight(s, eta));
-  });
-  const double lz = log_z.value();
-  model::for_each_state(n, [&](const NetState& s) {
-    pi[model::state_index(n, s)] = std::exp(log_weight(s, eta) - lz);
-  });
+  std::vector<double> pi;
+  const double lz = log_weights(eta, pi);
+  for (double& p : pi) p = std::exp(p - lz);
   return pi;
 }
 
 double ExactGibbs::dual_value(const std::vector<double>& eta) const {
+  std::vector<double> lw;
+  return dual_value(eta, log_weights(eta, lw));
+}
+
+double ExactGibbs::dual_value(const std::vector<double>& eta,
+                              double log_z) const {
   check_eta(eta);
-  util::LogSumExp log_z;
-  model::for_each_state(nodes_.size(), [&](const NetState& s) {
-    log_z.add(log_weight(s, eta));
-  });
-  double dual = sigma_ * log_z.value();
+  double dual = sigma_ * log_z;
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     dual += eta[i] * nodes_[i].budget;
   return dual;

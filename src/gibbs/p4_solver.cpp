@@ -26,11 +26,11 @@ double kkt_residual(const model::NodeSet& nodes,
   return res;
 }
 
+// `m` holds the moments at `eta` (its log_partition is log Z_η).
 P4Result finalize(const ExactGibbs& gibbs, std::vector<double> eta,
-                  std::size_t iters, bool converged) {
-  const Marginals m = gibbs.marginals(eta);
+                  const Marginals& m, std::size_t iters, bool converged) {
   P4Result out;
-  out.dual = gibbs.dual_value(eta);
+  out.dual = gibbs.dual_value(eta, m.log_partition);
   out.eta = std::move(eta);
   out.alpha = m.alpha;
   out.beta = m.beta;
@@ -45,10 +45,12 @@ P4Result solve_algorithm1(const ExactGibbs& gibbs, const P4Options& opt) {
   const std::size_t n = gibbs.num_nodes();
   const model::NodeSet& nodes = gibbs.nodes();
   std::vector<double> eta(n, 0.0);
+  std::vector<double> weights;
   for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
-    const Marginals m = gibbs.marginals(eta);
+    const double log_z = gibbs.log_weights(eta, weights);
+    const Marginals m = gibbs.marginals(weights, log_z);
     if (kkt_residual(nodes, eta, m) < opt.tolerance)
-      return finalize(gibbs, std::move(eta), k, true);
+      return finalize(gibbs, std::move(eta), m, k, true);
     const double delta = opt.delta0 / static_cast<double>(k);
     for (std::size_t i = 0; i < n; ++i) {
       const double grad = nodes[i].budget -
@@ -57,14 +59,21 @@ P4Result solve_algorithm1(const ExactGibbs& gibbs, const P4Options& opt) {
       eta[i] = std::max(0.0, eta[i] - delta * grad);
     }
   }
-  return finalize(gibbs, std::move(eta), opt.max_iterations, false);
+  const double log_z = gibbs.log_weights(eta, weights);
+  return finalize(gibbs, std::move(eta), gibbs.marginals(weights, log_z),
+                  opt.max_iterations, false);
 }
 
+// The accepted candidate's log-weight pass becomes the next iterate's, so
+// each iteration evaluates W once per backtracking candidate and then takes
+// the moments from the stored weights.
 P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
   const std::size_t n = gibbs.num_nodes();
   const model::NodeSet& nodes = gibbs.nodes();
   std::vector<double> eta(n, 0.0);
-  double dual = gibbs.dual_value(eta);
+  std::vector<double> weights;
+  double log_z = gibbs.log_weights(eta, weights);
+  double dual = gibbs.dual_value(eta, log_z);
 
   // Initial step: the dual curvature scales like max(L,X)^2 / σ.
   double worst_power = 0.0;
@@ -74,12 +83,13 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
                               static_cast<double>(n));
 
   std::vector<double> candidate(n);
+  std::vector<double> candidate_weights;
+  std::vector<double> grad(n);
   for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
-    const Marginals m = gibbs.marginals(eta);
+    const Marginals m = gibbs.marginals(weights, log_z);
     if (kkt_residual(nodes, eta, m) < opt.tolerance)
-      return finalize(gibbs, std::move(eta), k, true);
+      return finalize(gibbs, std::move(eta), m, k, true);
 
-    std::vector<double> grad(n);
     for (std::size_t i = 0; i < n; ++i)
       grad[i] = nodes[i].budget - (m.alpha[i] * nodes[i].listen_power +
                                    m.beta[i] * nodes[i].transmit_power);
@@ -94,10 +104,14 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
         step_sq += d * d;
         step_dot_grad += d * grad[i];
       }
-      if (step_sq == 0.0) return finalize(gibbs, std::move(eta), k, true);
-      const double cand_dual = gibbs.dual_value(candidate);
+      if (step_sq == 0.0) return finalize(gibbs, std::move(eta), m, k, true);
+      const double candidate_log_z =
+          gibbs.log_weights(candidate, candidate_weights);
+      const double cand_dual = gibbs.dual_value(candidate, candidate_log_z);
       if (cand_dual <= dual + step_dot_grad + step_sq / (2.0 * t) + 1e-15) {
         eta.swap(candidate);
+        weights.swap(candidate_weights);
+        log_z = candidate_log_z;
         dual = cand_dual;
         t *= 1.3;  // optimistic growth for the next iteration
         accepted = true;
@@ -105,9 +119,10 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
         t *= 0.5;
       }
     }
-    if (!accepted) return finalize(gibbs, std::move(eta), k, false);
+    if (!accepted) return finalize(gibbs, std::move(eta), m, k, false);
   }
-  return finalize(gibbs, std::move(eta), opt.max_iterations, false);
+  return finalize(gibbs, std::move(eta), gibbs.marginals(weights, log_z),
+                  opt.max_iterations, false);
 }
 
 P4Result solve_symmetric(const model::NodeSet& nodes, model::Mode mode,

@@ -7,7 +7,11 @@
 //   * kAlgorithm1    — the paper's Algorithm 1: plain projected gradient with
 //                      step δ_k = δ_0 / k (faithful reproduction).
 //   * kAccelerated   — projected gradient with backtracking line search
-//                      (default for heterogeneous networks).
+//                      (default for heterogeneous networks). Each candidate
+//                      costs one ExactGibbs::log_weights pass; the accepted
+//                      candidate's pass is reused for the next iterate's
+//                      moments, so its iterates are exactly those of
+//                      re-evaluating every η from scratch.
 //   * kAutomatic     — 1-D bisection via SymmetricGibbs when the network is
 //                      homogeneous; kAccelerated otherwise.
 // The achievable throughput at σ, T^σ = Σ_w π*_w T_w, is what the paper's

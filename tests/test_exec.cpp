@@ -16,7 +16,10 @@
 #include <vector>
 
 #include "exec/executor.h"
+#include "gibbs/exact.h"
+#include "gibbs/p4_solver.h"
 #include "gibbs/symmetric.h"
+#include "util/random.h"
 
 namespace {
 
@@ -216,6 +219,52 @@ TEST(Executor, SymmetricGibbsBuildsConcurrently) {
     got[i] = g.dual_value(0.003);
   });
   for (const double x : got) EXPECT_EQ(x, want);
+}
+
+TEST(Executor, HeterogeneousP4SolvesConcurrently) {
+  // Fig. 2 sweeps run the accelerated (P4) solver on every executor thread
+  // at once, and one ExactGibbs may be shared by several threads: evaluation
+  // scratch must belong to the caller, never to the instance. 64 solves of
+  // distinct sampled networks, plus moments of one shared instance at each
+  // task's own η, must equal the serial results bit for bit.
+  util::Rng rng(64);
+  std::vector<model::NodeSet> networks;
+  for (std::size_t i = 0; i < 64; ++i)
+    networks.push_back(model::sample_heterogeneous(5, 50.0 + 3.0 * i, rng));
+  const auto mode_of = [](std::size_t i) {
+    return i % 2 == 0 ? model::Mode::kGroupput : model::Mode::kAnyput;
+  };
+  const auto sigma_of = [](std::size_t i) { return i % 3 == 0 ? 0.1 : 0.25; };
+  const gibbs::ExactGibbs shared(networks.front(), model::Mode::kGroupput,
+                                 0.25);
+  std::vector<gibbs::P4Result> serial(networks.size());
+  std::vector<gibbs::Marginals> serial_moments(networks.size());
+  for (std::size_t i = 0; i < networks.size(); ++i) {
+    serial[i] = gibbs::solve_p4(networks[i], mode_of(i), sigma_of(i));
+    serial_moments[i] = shared.marginals(serial[i].eta);
+  }
+
+  Executor pool(4);
+  std::vector<gibbs::P4Result> got(networks.size());
+  std::vector<gibbs::Marginals> got_moments(networks.size());
+  pool.parallel_for(networks.size(), [&](std::size_t i) {
+    got[i] = gibbs::solve_p4(networks[i], mode_of(i), sigma_of(i));
+    got_moments[i] = shared.marginals(got[i].eta);
+  });
+  for (std::size_t i = 0; i < networks.size(); ++i) {
+    EXPECT_EQ(got[i].eta, serial[i].eta) << i;
+    EXPECT_EQ(got[i].alpha, serial[i].alpha) << i;
+    EXPECT_EQ(got[i].beta, serial[i].beta) << i;
+    EXPECT_EQ(got[i].throughput, serial[i].throughput) << i;
+    EXPECT_EQ(got[i].objective, serial[i].objective) << i;
+    EXPECT_EQ(got[i].dual, serial[i].dual) << i;
+    EXPECT_EQ(got[i].iterations, serial[i].iterations) << i;
+    EXPECT_EQ(got[i].converged, serial[i].converged) << i;
+    EXPECT_EQ(got_moments[i].log_partition, serial_moments[i].log_partition);
+    EXPECT_EQ(got_moments[i].alpha, serial_moments[i].alpha) << i;
+    EXPECT_EQ(got_moments[i].beta, serial_moments[i].beta) << i;
+    EXPECT_EQ(got_moments[i].entropy, serial_moments[i].entropy) << i;
+  }
 }
 
 TEST(Executor, GracefulShutdownJoinsIdleWorkers) {

@@ -9,6 +9,7 @@
 #include "gibbs/exact.h"
 #include "gibbs/p4_solver.h"
 #include "gibbs/symmetric.h"
+#include "reference_gibbs.h"
 #include "util/random.h"
 
 namespace {
@@ -147,6 +148,81 @@ TEST(ExactGibbs, RejectsBadConstruction) {
                std::invalid_argument);
   const ExactGibbs g(paper_nodes(), Mode::kGroupput, 0.5);
   EXPECT_THROW(g.marginals({0.0, 0.0}), std::invalid_argument);
+}
+
+void expect_same_marginals(const Marginals& got, const Marginals& want) {
+  EXPECT_EQ(got.log_partition, want.log_partition);
+  EXPECT_EQ(got.alpha, want.alpha);
+  EXPECT_EQ(got.beta, want.beta);
+  EXPECT_EQ(got.expected_throughput, want.expected_throughput);
+  EXPECT_EQ(got.entropy, want.entropy);
+}
+
+TEST(ExactGibbs, TableEvaluationMatchesPerStateLoopsBitForBit) {
+  // The state table and the one-pass evaluation must not move a single bit
+  // relative to the per-state loops (tests/reference_gibbs.h): every (P4)
+  // iterate, and so every result byte, depends on it. Seeded §VII-B
+  // networks, N = 2..10, both modes, η with zero entries, and an η large
+  // enough that most probabilities underflow to exactly 0 (the marginals'
+  // p == 0 skip).
+  namespace ref = testing_support::reference_gibbs;
+  util::Rng rng(1414);
+  bool saw_underflow = false;
+  for (std::size_t n = 2; n <= 10; ++n) {
+    const double h = 10.0 + 240.0 * static_cast<double>(n - 2) / 8.0;
+    const auto nodes = model::sample_heterogeneous(n, h, rng);
+    std::vector<std::vector<double>> etas;
+    etas.emplace_back(n, 0.0);
+    std::vector<double> mixed(n);
+    for (std::size_t i = 0; i < n; ++i)
+      mixed[i] = i % 3 == 0 ? 0.0 : rng.uniform(0.0, 0.01);
+    etas.push_back(mixed);
+    std::vector<double> dense(n);
+    for (double& e : dense) e = rng.uniform(1e-4, 0.02);
+    etas.push_back(dense);
+    std::vector<double> crushing(n);
+    for (std::size_t i = 0; i < n; ++i) crushing[i] = i == 0 ? 0.0 : 10.0;
+    etas.push_back(crushing);
+    for (const Mode mode : {Mode::kGroupput, Mode::kAnyput}) {
+      for (const double sigma : {0.1, 0.5}) {
+        const ExactGibbs g(nodes, mode, sigma);
+        for (const auto& eta : etas) {
+          SCOPED_TRACE(testing::Message()
+                       << "N=" << n << " " << model::to_string(mode)
+                       << " sigma=" << sigma << " eta[1]=" << eta[1]);
+          expect_same_marginals(g.marginals(eta), ref::marginals(g, eta));
+          EXPECT_EQ(g.dual_value(eta), ref::dual_value(g, eta));
+          const BurstSums b = g.burst_sums(eta);
+          const BurstSums rb = ref::burst_sums(g, eta);
+          EXPECT_EQ(b.log_success_mass, rb.log_success_mass);
+          EXPECT_EQ(b.log_burst_rate, rb.log_burst_rate);
+          const auto pi = g.distribution(eta);
+          EXPECT_EQ(pi, ref::distribution(g, eta));
+          for (const double p : pi) saw_underflow |= p == 0.0;
+
+          // The buffer API: weights in state_index order, log Z returned,
+          // and the moments taken from the stored weights.
+          std::vector<double> weights;
+          const double lz = g.log_weights(eta, weights);
+          ASSERT_EQ(weights.size(), model::state_space_size(n));
+          EXPECT_EQ(lz, ref::log_partition(g, eta));
+          model::for_each_state(n, [&](const model::NetState& s) {
+            EXPECT_EQ(weights[model::state_index(n, s)], g.log_weight(s, eta));
+          });
+          expect_same_marginals(g.marginals(weights, lz),
+                                ref::marginals(g, eta));
+          EXPECT_EQ(g.dual_value(eta, lz), ref::dual_value(g, eta));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_underflow);
+}
+
+TEST(ExactGibbs, RejectsMismatchedWeightBuffer) {
+  const ExactGibbs g(paper_nodes(), Mode::kGroupput, 0.5);
+  std::vector<double> weights(10, 0.0);  // |W| is 112 at N = 5
+  EXPECT_THROW(g.marginals(weights, 0.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------ symmetric collapse --

@@ -3,10 +3,13 @@
 // σ → 0 convergence to the oracle — Theorem 1's deterministic core).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "gibbs/exact.h"
 #include "gibbs/p4_solver.h"
 #include "oracle/clique_oracle.h"
+#include "reference_gibbs.h"
 #include "util/random.h"
 
 namespace {
@@ -165,6 +168,162 @@ TEST(P4Solver, RejectsBadInputs) {
                std::invalid_argument);
   EXPECT_THROW(solve_p4(paper_nodes(), Mode::kGroupput, 0.0),
                std::invalid_argument);
+}
+
+// ------------------------------------------- pinned pre-table solver loops --
+// The (P4) solvers as they ran before ExactGibbs kept a table of W: every
+// η re-evaluated from scratch through the per-state reference loops
+// (tests/reference_gibbs.h), with finalize recomputing the moments and the
+// dual at the returned η. The table-driven solvers must match them bit for
+// bit, iteration count included.
+namespace ref = testing_support::reference_gibbs;
+
+double reference_kkt_residual(const model::NodeSet& nodes,
+                              const std::vector<double>& eta,
+                              const Marginals& m) {
+  double res = 0.0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const double power =
+        m.alpha[i] * nodes[i].listen_power + m.beta[i] * nodes[i].transmit_power;
+    const double rel = (power - nodes[i].budget) / nodes[i].budget;
+    res = std::max(res, rel);
+    if (eta[i] > 1e-14) res = std::max(res, std::abs(rel));
+  }
+  return res;
+}
+
+P4Result reference_finalize(const ExactGibbs& g, std::vector<double> eta,
+                            std::size_t iters, bool converged) {
+  const Marginals m = ref::marginals(g, eta);
+  P4Result out;
+  out.dual = ref::dual_value(g, eta);
+  out.eta = std::move(eta);
+  out.alpha = m.alpha;
+  out.beta = m.beta;
+  out.throughput = m.expected_throughput;
+  out.objective = m.expected_throughput + g.sigma() * m.entropy;
+  out.iterations = iters;
+  out.converged = converged;
+  return out;
+}
+
+P4Result reference_accelerated(const ExactGibbs& g, const P4Options& opt) {
+  const std::size_t n = g.num_nodes();
+  const model::NodeSet& nodes = g.nodes();
+  std::vector<double> eta(n, 0.0);
+  double dual = ref::dual_value(g, eta);
+  double worst_power = 0.0;
+  for (const auto& p : nodes)
+    worst_power = std::max({worst_power, p.listen_power, p.transmit_power});
+  double t = g.sigma() / (worst_power * worst_power * static_cast<double>(n));
+  std::vector<double> candidate(n);
+  for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
+    const Marginals m = ref::marginals(g, eta);
+    if (reference_kkt_residual(nodes, eta, m) < opt.tolerance)
+      return reference_finalize(g, std::move(eta), k, true);
+    std::vector<double> grad(n);
+    for (std::size_t i = 0; i < n; ++i)
+      grad[i] = nodes[i].budget - (m.alpha[i] * nodes[i].listen_power +
+                                   m.beta[i] * nodes[i].transmit_power);
+    bool accepted = false;
+    for (int bt = 0; bt < 60 && !accepted; ++bt) {
+      double step_sq = 0.0, step_dot_grad = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        candidate[i] = std::max(0.0, eta[i] - t * grad[i]);
+        const double d = candidate[i] - eta[i];
+        step_sq += d * d;
+        step_dot_grad += d * grad[i];
+      }
+      if (step_sq == 0.0) return reference_finalize(g, std::move(eta), k, true);
+      const double cand_dual = ref::dual_value(g, candidate);
+      if (cand_dual <= dual + step_dot_grad + step_sq / (2.0 * t) + 1e-15) {
+        eta.swap(candidate);
+        dual = cand_dual;
+        t *= 1.3;
+        accepted = true;
+      } else {
+        t *= 0.5;
+      }
+    }
+    if (!accepted) return reference_finalize(g, std::move(eta), k, false);
+  }
+  return reference_finalize(g, std::move(eta), opt.max_iterations, false);
+}
+
+P4Result reference_algorithm1(const ExactGibbs& g, const P4Options& opt) {
+  const std::size_t n = g.num_nodes();
+  const model::NodeSet& nodes = g.nodes();
+  std::vector<double> eta(n, 0.0);
+  for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
+    const Marginals m = ref::marginals(g, eta);
+    if (reference_kkt_residual(nodes, eta, m) < opt.tolerance)
+      return reference_finalize(g, std::move(eta), k, true);
+    const double delta = opt.delta0 / static_cast<double>(k);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double grad = nodes[i].budget -
+                          (m.alpha[i] * nodes[i].listen_power +
+                           m.beta[i] * nodes[i].transmit_power);
+      eta[i] = std::max(0.0, eta[i] - delta * grad);
+    }
+  }
+  return reference_finalize(g, std::move(eta), opt.max_iterations, false);
+}
+
+void expect_identical(const P4Result& got, const P4Result& want) {
+  EXPECT_EQ(got.eta, want.eta);
+  EXPECT_EQ(got.alpha, want.alpha);
+  EXPECT_EQ(got.beta, want.beta);
+  EXPECT_EQ(got.throughput, want.throughput);
+  EXPECT_EQ(got.objective, want.objective);
+  EXPECT_EQ(got.dual, want.dual);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+TEST(P4Solver, AcceleratedMatchesPinnedPerStateLoopBitForBit) {
+  // 36 Fig. 2-style cells: N = 5 networks sampled by the §VII-B process at
+  // each h, crossed with σ and both modes (h = 10 is homogeneous, so this
+  // forces the accelerated method there too).
+  P4Options opt;
+  opt.method = P4Method::kAccelerated;
+  util::Rng rng(0xF162);
+  std::size_t cells = 0;
+  for (const double h : {10.0, 50.0, 100.0, 150.0, 200.0, 250.0}) {
+    const auto nodes = model::sample_heterogeneous(5, h, rng);
+    for (const double sigma : {0.1, 0.25, 0.5}) {
+      for (const Mode mode : {Mode::kGroupput, Mode::kAnyput}) {
+        SCOPED_TRACE(testing::Message() << "h=" << h << " sigma=" << sigma
+                                        << " " << model::to_string(mode));
+        const P4Result want =
+            reference_accelerated(ExactGibbs(nodes, mode, sigma), opt);
+        expect_identical(solve_p4(nodes, mode, sigma, opt), want);
+        if (!model::is_homogeneous(nodes))
+          expect_identical(solve_p4(nodes, mode, sigma), want);
+        ++cells;
+      }
+    }
+  }
+  EXPECT_EQ(cells, 36u);
+}
+
+TEST(P4Solver, CappedSolversMatchPinnedPerStateLoopBitForBit) {
+  // The iteration-cap exits (finalize at an η whose moments were not yet
+  // taken), for both methods.
+  util::Rng rng(0xA1);
+  const auto nodes = model::sample_heterogeneous(5, 200.0, rng);
+  for (const P4Method method :
+       {P4Method::kAlgorithm1, P4Method::kAccelerated}) {
+    P4Options opt;
+    opt.method = method;
+    opt.max_iterations = 40;
+    opt.delta0 = 1e-5;
+    const ExactGibbs g(nodes, Mode::kGroupput, 0.25);
+    const P4Result want = method == P4Method::kAlgorithm1
+                              ? reference_algorithm1(g, opt)
+                              : reference_accelerated(g, opt);
+    EXPECT_FALSE(want.converged);
+    expect_identical(solve_p4(nodes, Mode::kGroupput, 0.25, opt), want);
+  }
 }
 
 // Property sweep over (N, σ): budgets respected, duality gap closed,
