@@ -188,6 +188,65 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleCancel)->Arg(64)->Arg(256);
 
+// The simulator's timer mix: every node's multiplier-update interval ends
+// at now + τ (eq. (17)), the packet on the air ends at now + 1, and each
+// popped transition re-schedules its node and one re-sampling neighbor.
+// The durable timers are monotone per kind, about a third of the pops, as
+// in a fig. 6 grid run.
+void BM_EventQueueTimerLanes(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr double kTau = 16.0;
+  util::Rng rng(6161);
+  constexpr std::size_t kGapMask = (1u << 12) - 1;
+  std::vector<double> gaps(kGapMask + 1);
+  for (double& g : gaps) g = rng.exponential(1.0 / 8.0);
+  std::vector<std::uint32_t> order(kGapMask + 1);
+  for (auto& o : order)
+    o = static_cast<std::uint32_t>(rng.uniform() * static_cast<double>(n));
+
+  sim::EventQueue q;
+  q.reserve_for_nodes(n);
+  std::size_t g = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto node = static_cast<std::uint32_t>(i);
+    q.schedule(gaps[g++ & kGapMask], sim::EventKind::kTransition, node);
+    q.push(kTau, sim::EventKind::kIntervalEnd, node);
+  }
+  q.push(1.0, sim::EventKind::kPacketEnd, 0);
+
+  const std::uint64_t ops_before = q.stats().pushes + q.stats().pops;
+  double now = 0.0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const sim::Event e = q.pop();
+      now = e.time;
+      switch (e.kind) {
+        case sim::EventKind::kIntervalEnd:
+          q.push(now + kTau, sim::EventKind::kIntervalEnd, e.node);
+          q.schedule(now + gaps[g++ & kGapMask],
+                     sim::EventKind::kTransition, e.node);
+          break;
+        case sim::EventKind::kPacketEnd:
+          q.push(now + 1.0, sim::EventKind::kPacketEnd,
+                 order[g++ & kGapMask]);
+          break;
+        default:
+          q.schedule(now + gaps[g++ & kGapMask],
+                     sim::EventKind::kTransition, e.node);
+          q.schedule(now + gaps[g & kGapMask], sim::EventKind::kTransition,
+                     order[g & kGapMask]);
+          ++g;
+          break;
+      }
+    }
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      q.stats().pushes + q.stats().pops - ops_before));
+  state.SetLabel("N=" + std::to_string(n));
+}
+BENCHMARK(BM_EventQueueTimerLanes)->Arg(64)->Arg(256);
+
 // The eager rate-memo row refill against the per-call path it replaced:
 // one η update's worth of listen_to_transmit exponentials for a fig. 6
 // N = 64 neighborhood (width = N + 1 counts). Arg 1 = 0 benches width

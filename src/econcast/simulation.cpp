@@ -180,10 +180,12 @@ void Simulation::set_state(NodeId i, NodeState next) {
 
 void Simulation::schedule_transition(NodeId i) {
   // Any previously scheduled transition / energy-guard event for this node
-  // is obsolete the moment we re-sample; the queue removes them in place
-  // (schedule() below re-arms its own slot).
-  invalidate_transition(i);
+  // is obsolete the moment we re-sample. Slots that get a new event are
+  // re-armed in place by schedule(); the others are cancelled first, so the
+  // live count never rises above where it ends.
   const bool idle = !channel_.busy_at(i);
+  bool guard = false;  // arm the energy-guard event at guard_time
+  double guard_time = 0.0;
   double rate = 0.0;
   switch (state_[i]) {
     case NodeState::kSleep:
@@ -197,9 +199,9 @@ void Simulation::schedule_transition(NodeId i) {
         const double level = energy_.level(i, now_);
         const double deficit = refill - level;
         if (deficit > 1e-9 * refill) {
-          queue_.schedule(now_ + deficit / nodes_[i].budget + 1e-9,
-                          EventKind::kEnergyDepleted, i);
-          return;
+          guard = true;
+          guard_time = now_ + deficit / nodes_[i].budget + 1e-9;
+          break;  // no wake-up race until the refill timer fires
         }
       }
       rate = wake_rate(i, idle);
@@ -212,16 +214,21 @@ void Simulation::schedule_transition(NodeId i) {
         const double level = energy_.level(i, now_);
         const double dt = std::max(0.0, level - config_.guard_floor) /
                           (nodes_[i].listen_power - nodes_[i].budget);
-        queue_.schedule(now_ + dt, EventKind::kEnergyDepleted, i);
+        guard = true;
+        guard_time = now_ + dt;
       }
       rate = rates_[i].listen_to_sleep(idle) + listen_tx_rate(i, idle);
       break;
     }
     case NodeState::kTransmit:
-      return;  // bursts advance via packet-end events
+      break;  // bursts advance via packet-end events
   }
-  if (rate <= 0.0) return;  // gated: wait for a channel/interval wake-up
-  queue_.schedule(now_ + rng_.exponential(rate), EventKind::kTransition, i);
+  const bool gated = rate <= 0.0;  // wait for a channel/interval wake-up
+  if (!guard) queue_.cancel(i, EventKind::kEnergyDepleted);
+  if (gated) queue_.cancel(i, EventKind::kTransition);
+  if (guard) queue_.schedule(guard_time, EventKind::kEnergyDepleted, i);
+  if (!gated)
+    queue_.schedule(now_ + rng_.exponential(rate), EventKind::kTransition, i);
 }
 
 void Simulation::resample_toggled() {

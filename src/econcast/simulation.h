@@ -150,6 +150,9 @@ class Simulation {
 
   // State machinery.
   void set_state(sim::NodeId i, NodeState next);
+  /// Re-samples the node's rate-driven events for its current state: the
+  /// slots that get a new event are re-armed in place, the others are
+  /// cancelled.
   void schedule_transition(sim::NodeId i);
   /// Cancels the node's pending rate-driven events (the next transition and
   /// any energy-guard wake-up/watchdog); the queue removes them in place.

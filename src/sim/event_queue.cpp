@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace econcast::sim {
 
@@ -12,6 +13,9 @@ namespace {
 /// keeps sift_down's child scan cheap while halving the depth of a binary
 /// heap.
 constexpr std::size_t kArity = 4;
+
+/// A lane's first ring; it doubles whenever it fills.
+constexpr std::size_t kFirstLaneCapacity = 8;
 
 /// The pop order: earliest time first, seq breaking ties.
 bool before(const Event& a, const Event& b) noexcept {
@@ -57,7 +61,10 @@ const char* kind_name(EventKind kind) noexcept {
 
 EventQueue::EventQueue(Arena* arena)
     : heap_(ArenaAllocator<Event>(arena)),
-      pos_(ArenaAllocator<std::uint32_t>(arena)) {}
+      pos_(ArenaAllocator<std::uint32_t>(arena)) {
+  for (Lane& lane : lanes_)
+    lane.ring = ArenaVector<Event>(ArenaAllocator<Event>(arena));
+}
 
 void EventQueue::reserve_for_nodes(std::size_t n) {
   reserve(capacity_for_nodes(n));
@@ -75,10 +82,21 @@ std::size_t EventQueue::slot(NodeId node, EventKind kind) {
 
 void EventQueue::push(double time, EventKind kind, NodeId node) {
   const std::size_t s = slot(node, kind);
-  if (pos_[s] != kAbsent)
+  const std::uint32_t at = pos_[s];
+  if (at != kAbsent)
     slot_taken("push", node, kind,
-               heap_[pos_[s]].cancellable ? "scheduled" : "durable");
-  insert(Event{time, next_seq_++, kind, false, node}, s);
+               at != kInLane && heap_[at].cancellable ? "scheduled"
+                                                      : "durable");
+  const Event event{time, next_seq_++, kind, false, node};
+  Lane& lane = lanes_[static_cast<std::size_t>(kind)];
+  if (lane.count != 0 && !(time >= lane.back().time)) {
+    insert(event, s);  // earlier than the lane's tail
+    return;
+  }
+  lane_append(lane, event);
+  pos_[s] = kInLane;
+  ++lane_live_;
+  count_push();
 }
 
 void EventQueue::schedule(double time, EventKind kind, NodeId node) {
@@ -88,7 +106,8 @@ void EventQueue::schedule(double time, EventKind kind, NodeId node) {
     return;
   }
   const std::size_t i = pos_[s];
-  if (!heap_[i].cancellable) slot_taken("schedule", node, kind, "durable");
+  if (i == kInLane || !heap_[i].cancellable)
+    slot_taken("schedule", node, kind, "durable");
   heap_[i] = Event{time, next_seq_++, kind, true, node};
   fix(i);
   ++stats_.pushes;
@@ -97,22 +116,34 @@ void EventQueue::schedule(double time, EventKind kind, NodeId node) {
 
 void EventQueue::cancel(NodeId node, EventKind kind) {
   const std::size_t s = slot_index(node, kind);
-  if (s >= pos_.size() || pos_[s] == kAbsent) return;
+  if (s >= pos_.size()) return;
   const std::size_t i = pos_[s];
-  if (!heap_[i].cancellable) return;
+  if (i == kAbsent || i == kInLane || !heap_[i].cancellable) return;
   erase_at(i);
   ++stats_.cancels;
 }
 
 const Event& EventQueue::top() const {
-  if (heap_.empty()) throw std::logic_error("top of empty EventQueue");
-  return heap_.front();
+  if (empty()) throw std::logic_error("top of empty EventQueue");
+  const std::size_t source = front_source();
+  return source == kHeapSource ? heap_.front() : lanes_[source].front();
 }
 
 Event EventQueue::pop() {
-  if (heap_.empty()) throw std::logic_error("pop from empty EventQueue");
-  const Event event = heap_.front();
-  erase_at(0);
+  if (empty()) throw std::logic_error("pop from empty EventQueue");
+  const std::size_t source = front_source();
+  Event event;
+  if (source == kHeapSource) {
+    event = heap_.front();
+    erase_at(0);
+  } else {
+    Lane& lane = lanes_[source];
+    event = lane.front();
+    lane.head = (lane.head + 1) & (lane.ring.size() - 1);
+    --lane.count;
+    --lane_live_;
+    pos_[slot_of(event)] = kAbsent;
+  }
   ++stats_.pops;
   return event;
 }
@@ -120,14 +151,54 @@ Event EventQueue::pop() {
 void EventQueue::clear() {
   for (const Event& e : heap_) pos_[slot_of(e)] = kAbsent;
   heap_.clear();
+  for (Lane& lane : lanes_) {
+    for (std::size_t i = 0; i < lane.count; ++i)
+      pos_[slot_of(lane.ring[(lane.head + i) & (lane.ring.size() - 1)])] =
+          kAbsent;
+    lane.head = 0;
+    lane.count = 0;
+  }
+  lane_live_ = 0;
+}
+
+void EventQueue::count_push() noexcept {
+  ++stats_.pushes;
+  stats_.peak_live = std::max(stats_.peak_live, size());
 }
 
 void EventQueue::insert(const Event& event, std::size_t slot) {
   pos_[slot] = static_cast<std::uint32_t>(heap_.size());
   heap_.push_back(event);
   sift_up(heap_.size() - 1);
-  ++stats_.pushes;
-  stats_.peak_live = std::max(stats_.peak_live, heap_.size());
+  count_push();
+}
+
+void EventQueue::lane_append(Lane& lane, const Event& event) {
+  const std::size_t capacity = lane.ring.size();
+  if (lane.count == capacity) {
+    ArenaVector<Event> grown(capacity ? 2 * capacity : kFirstLaneCapacity,
+                             Event{}, lane.ring.get_allocator());
+    for (std::size_t i = 0; i < lane.count; ++i)
+      grown[i] = lane.ring[(lane.head + i) & (capacity - 1)];
+    lane.ring = std::move(grown);
+    lane.head = 0;
+  }
+  lane.ring[(lane.head + lane.count) & (lane.ring.size() - 1)] = event;
+  ++lane.count;
+}
+
+std::size_t EventQueue::front_source() const noexcept {
+  std::size_t source = kHeapSource;
+  const Event* first = heap_.empty() ? nullptr : &heap_.front();
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    const Lane& lane = lanes_[k];
+    if (lane.count != 0 &&
+        (first == nullptr || before(lane.front(), *first))) {
+      first = &lane.front();
+      source = k;
+    }
+  }
+  return source;
 }
 
 void EventQueue::erase_at(std::size_t i) {

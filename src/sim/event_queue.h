@@ -1,11 +1,12 @@
 // Future-event list for the continuous-time simulators: an indexed d-ary
-// heap keyed by (node, kind).
+// heap keyed by (node, kind), plus one sorted FIFO lane per event kind for
+// durable timers.
 //
 // EconCast is a continuous-time Markov chain, so each node holds at most one
 // pending timer per event kind, and memorylessness lets a cancelled timer
 // simply be re-drawn. The queue therefore has one slot per (node, kind) —
-// node-major, kEventKindCount wide — and a position map from slot to heap
-// index. A slot holds at most one live event:
+// node-major, kEventKindCount wide — and a position map from slot to where
+// its event lives. A slot holds at most one live event:
 //
 //   * `schedule()` enters a cancellable event; if the slot already holds one
 //     it is updated in place (new time, new seq) and re-sifted.
@@ -13,13 +14,22 @@
 //   * `push()` enters a durable event that no cancellation affects; pushing
 //     into a slot that already holds a live event is a logic error.
 //
-// The heap stores only live events, so `top()`/`pop()`/`empty()` never see a
-// superseded one. Pop order is the strict total order on (time, seq), with
-// seq assigned by every push()/schedule() call, so the delivered sequence is
-// a function of the call sequence alone.
+// Most durable timers are monotone per kind: every interval end fires at
+// now + τ and every packet end at now + 1. A push whose time is no earlier
+// than the tail of its kind's lane is appended there in O(1); every other
+// push, and every schedule(), goes to the heap. Seq grows with every call,
+// so each lane stays sorted by (time, seq) on any input, and the front of
+// the queue is the minimum of the heap top and the lane heads.
+//
+// The heap and the lanes store only live events, so `top()`/`pop()`/
+// `empty()` never see a superseded one. Pop order is the strict total order
+// on (time, seq), with seq assigned by every push()/schedule() call, so the
+// delivered sequence is a function of the call sequence alone — which
+// events took a lane does not change it.
 #ifndef ECONCAST_SIM_EVENT_QUEUE_H
 #define ECONCAST_SIM_EVENT_QUEUE_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -59,8 +69,9 @@ struct QueueStats {
 
 class EventQueue {
  public:
-  /// With an arena, the heap and the position map are arena-backed (the
-  /// arena must outlive the queue and any queue moved-from it).
+  /// With an arena, the heap, the lanes and the position map are
+  /// arena-backed (the arena must outlive the queue and any queue
+  /// moved-from it).
   explicit EventQueue(Arena* arena = nullptr);
 
   /// The shared capacity policy for simulators whose live event count is
@@ -72,7 +83,8 @@ class EventQueue {
 
   /// Pre-sizes the queue for an `n`-node simulation: heap storage per
   /// capacity_for_nodes plus the position map over all n·kEventKindCount
-  /// slots. Both proto::Simulation and testbed::run_testbed call this.
+  /// slots (the lanes grow on demand, to at most one entry per node).
+  /// Both proto::Simulation and testbed::run_testbed call this.
   void reserve_for_nodes(std::size_t n);
 
   /// Enters a durable event: it stays live until popped. Throws
@@ -89,7 +101,7 @@ class EventQueue {
   /// events are unaffected.
   void cancel(NodeId node, EventKind kind);
 
-  bool empty() const noexcept { return heap_.empty(); }
+  bool empty() const noexcept { return size() == 0; }
   /// The earliest event. Throws std::logic_error when empty().
   const Event& top() const;
   /// Removes and returns the earliest event. Throws std::logic_error when
@@ -100,17 +112,40 @@ class EventQueue {
   /// Pre-allocates heap storage for `n` simultaneously live events.
   void reserve(std::size_t n) { heap_.reserve(n); }
   std::size_t capacity() const noexcept { return heap_.capacity(); }
-  /// Live events.
-  std::size_t size() const noexcept { return heap_.size(); }
+  /// Live events, in the heap and the lanes.
+  std::size_t size() const noexcept { return heap_.size() + lane_live_; }
 
   const QueueStats& stats() const noexcept { return stats_; }
 
  private:
   static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+  /// pos_ value of a slot whose durable event sits in its kind's lane.
+  static constexpr std::uint32_t kInLane = kAbsent - 1;
+  /// Source index of the heap; lanes are 0 .. kEventKindCount-1.
+  static constexpr std::size_t kHeapSource = kEventKindCount;
+
+  /// A ring of durable events of one kind, sorted by (time, seq). Its
+  /// capacity is zero or a power of two.
+  struct Lane {
+    ArenaVector<Event> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    const Event& front() const noexcept { return ring[head]; }
+    const Event& back() const noexcept {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+  };
 
   /// The slot index of (node, kind), growing the position map to cover it.
   std::size_t slot(NodeId node, EventKind kind);
+  /// Counts a push() or schedule() that added a live event.
+  void count_push() noexcept;
   void insert(const Event& event, std::size_t slot);
+  void lane_append(Lane& lane, const Event& event);
+  /// Where the earliest live event is: a lane index or kHeapSource.
+  /// Requires !empty().
+  std::size_t front_source() const noexcept;
   /// Removes the event at heap index `i`.
   void erase_at(std::size_t i);
   /// Restores heap order around index `i` after its key changed.
@@ -120,7 +155,9 @@ class EventQueue {
   void place(std::size_t i, const Event& event);
 
   ArenaVector<Event> heap_;
-  ArenaVector<std::uint32_t> pos_;  // slot -> heap index, or kAbsent
+  ArenaVector<std::uint32_t> pos_;  // slot -> heap index, kInLane, kAbsent
+  std::array<Lane, kEventKindCount> lanes_;
+  std::size_t lane_live_ = 0;  // events held by the lanes
   std::uint64_t next_seq_ = 0;
   QueueStats stats_;
 };

@@ -1,7 +1,9 @@
 // The indexed (node, kind) event queue: a randomized differential harness
-// against a brute-force reference model, plus the slot contract (durable
-// collisions, in-place schedule, cancel), the live-count size(), reuse after
-// clear(), and the shared reserve_for_nodes capacity policy.
+// against a brute-force reference model (including the per-kind lanes that
+// hold monotone durable timers, mixed with out-of-order durable pushes that
+// take the heap), plus the slot contract (durable collisions, in-place
+// schedule, cancel), the live-count size(), reuse after clear(), and the
+// shared reserve_for_nodes capacity policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,26 +28,28 @@ using sim::NodeId;
 
 /// The contract, spelled out brute force: a vector of live events holding
 /// at most one per (node, kind) slot, popped by an O(n) (time, seq) min.
-/// push/schedule return false exactly where EventQueue must throw.
+/// push/schedule return nullptr on success; where EventQueue must throw they
+/// return the holder its message names ("scheduled" or "durable").
 class ReferenceQueue {
  public:
-  bool push(double time, EventKind kind, NodeId node) {
-    if (find(node, kind) != events_.end()) return false;
+  const char* push(double time, EventKind kind, NodeId node) {
+    const auto it = find(node, kind);
+    if (it != events_.end()) return it->cancellable ? "scheduled" : "durable";
     add(Event{time, next_seq_++, kind, false, node});
-    return true;
+    return nullptr;
   }
 
-  bool schedule(double time, EventKind kind, NodeId node) {
+  const char* schedule(double time, EventKind kind, NodeId node) {
     const auto it = find(node, kind);
     if (it == events_.end()) {
       add(Event{time, next_seq_++, kind, true, node});
-      return true;
+      return nullptr;
     }
-    if (!it->cancellable) return false;
+    if (!it->cancellable) return "durable";
     *it = Event{time, next_seq_++, kind, true, node};
     ++stats_.pushes;
     ++stats_.cancels;
-    return true;
+    return nullptr;
   }
 
   void cancel(NodeId node, EventKind kind) {
@@ -64,6 +68,8 @@ class ReferenceQueue {
     ++stats_.pops;
     return e;
   }
+
+  void clear() { events_.clear(); }
 
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
@@ -103,26 +109,38 @@ void expect_same_event(const Event& a, const Event& b) {
   EXPECT_EQ(a.cancellable, b.cancellable);
 }
 
+/// Runs `call`, expecting std::logic_error whose message names `holder`
+/// when it is non-null, and no exception otherwise.
+template <typename Call>
+void expect_outcome(const char* holder, Call call) {
+  if (holder == nullptr) {
+    call();
+    return;
+  }
+  try {
+    call();
+    ADD_FAILURE() << "expected a slot collision naming " << holder;
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(holder), std::string::npos)
+        << e.what();
+  }
+}
+
 /// Applies one operation sequence to the queue and to the reference model,
-/// checking after every call that the two agree on throw/no-throw, size(),
-/// empty(), top() and every popped event.
+/// checking after every call that the two agree on throw/no-throw (and the
+/// holder the error names), size(), empty(), top(), every QueueStats field
+/// and every popped event.
 class DifferentialHarness {
  public:
   void push(double time, EventKind kind, NodeId node) {
-    if (ref_.push(time, kind, node)) {
-      queue_.push(time, kind, node);
-    } else {
-      EXPECT_THROW(queue_.push(time, kind, node), std::logic_error);
-    }
+    expect_outcome(ref_.push(time, kind, node),
+                   [&] { queue_.push(time, kind, node); });
     check();
   }
 
   void schedule(double time, EventKind kind, NodeId node) {
-    if (ref_.schedule(time, kind, node)) {
-      queue_.schedule(time, kind, node);
-    } else {
-      EXPECT_THROW(queue_.schedule(time, kind, node), std::logic_error);
-    }
+    expect_outcome(ref_.schedule(time, kind, node),
+                   [&] { queue_.schedule(time, kind, node); });
     check();
   }
 
@@ -140,20 +158,27 @@ class DifferentialHarness {
     return want.time;
   }
 
+  void clear() {
+    ref_.clear();
+    queue_.clear();
+    check();
+  }
+
   bool empty() const { return ref_.empty(); }
 
   void drain_and_compare_stats() {
     while (!empty()) pop();
-    EXPECT_EQ(queue_.stats().pushes, ref_.stats().pushes);
-    EXPECT_EQ(queue_.stats().pops, ref_.stats().pops);
-    EXPECT_EQ(queue_.stats().cancels, ref_.stats().cancels);
-    EXPECT_EQ(queue_.stats().peak_live, ref_.stats().peak_live);
+    check();
   }
 
  private:
   void check() {
     ASSERT_EQ(queue_.size(), ref_.size());
     ASSERT_EQ(queue_.empty(), ref_.empty());
+    ASSERT_EQ(queue_.stats().pushes, ref_.stats().pushes);
+    ASSERT_EQ(queue_.stats().pops, ref_.stats().pops);
+    ASSERT_EQ(queue_.stats().cancels, ref_.stats().cancels);
+    ASSERT_EQ(queue_.stats().peak_live, ref_.stats().peak_live);
     if (!ref_.empty()) expect_same_event(queue_.top(), ref_.top());
   }
 
@@ -223,6 +248,58 @@ TEST(EventQueueDifferential, OutOfOrderTimesAndDenseTies) {
   }
 }
 
+TEST(EventQueueDifferential, LaneTimersMixedWithOutOfOrderDurables) {
+  // The simulator's durable timers: per-kind constant offsets from a
+  // forward-moving clock (interval ends at now + τ, packet ends at now + 1),
+  // which keep each kind's lane sorted, interleaved with durable pushes
+  // earlier than a lane's tail (they take the heap) and with cancellable
+  // schedules. Times sit on a half-unit grid so lane heads, heap events and
+  // schedules tie exactly and must break by seq. Cancels and schedules aim
+  // at lane-held slots too (no-op and throw), and clear() hits populated
+  // lanes.
+  for (const std::uint64_t seed : {5u, 61u, 808u, 2718u}) {
+    util::Rng rng(seed);
+    DifferentialHarness q;
+    const std::uint64_t n = 16;
+    const double tau = 8.0;
+    double now = 0.0;
+    const auto half_units = [&](std::uint64_t count) {
+      return static_cast<double>(rng.uniform_int(count)) / 2.0;
+    };
+    for (int op = 0; op < 20000; ++op) {
+      const double r = rng.uniform();
+      const auto node = static_cast<NodeId>(rng.uniform_int(n));
+      if (r < 0.18) {
+        q.push(now + tau, EventKind::kIntervalEnd, node);
+      } else if (r < 0.33) {
+        q.push(now + 1.0, EventKind::kPacketEnd, node);
+      } else if (r < 0.43) {
+        // Out of order for the kind's lane whenever it lands before the
+        // tail; ties with lane entries when it lands on one.
+        const auto kind = rng.uniform() < 0.5 ? EventKind::kIntervalEnd
+                                              : EventKind::kPacketEnd;
+        q.push(now + half_units(2 * static_cast<std::uint64_t>(tau)), kind,
+               node);
+      } else if (r < 0.46) {
+        q.push(now + half_units(64), random_kind(rng), node);
+      } else if (r < 0.62) {
+        const auto kind = rng.uniform() < 0.8 ? EventKind::kTransition
+                                              : EventKind::kEnergyDepleted;
+        q.schedule(now + half_units(20), kind, node);
+      } else if (r < 0.64) {
+        q.schedule(now + half_units(20), random_kind(rng), node);
+      } else if (r < 0.70) {
+        q.cancel(node, random_kind(rng));
+      } else if (r < 0.7005) {
+        q.clear();
+      } else if (!q.empty()) {
+        now = q.pop();
+      }
+    }
+    q.drain_and_compare_stats();
+  }
+}
+
 TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
   DifferentialHarness q;
   for (int round = 0; round < 50; ++round) {
@@ -260,6 +337,68 @@ TEST(EventQueue, DurableSlotCollisionThrowsNamingNodeAndKind) {
   q.push(2.0, EventKind::kPacketEnd, 3);
   EXPECT_EQ(q.pop().kind, EventKind::kPacketEnd);
   EXPECT_EQ(q.pop().kind, EventKind::kTransition);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, LaneHeldAndHeapHeldDurablesKeepTheSlotContract) {
+  EventQueue q;
+  // Node 0's packet end opens the kPacketEnd lane; node 1's is earlier
+  // than the lane's tail, so the heap holds it. The contract is the same.
+  q.push(5.0, EventKind::kPacketEnd, 0);
+  q.push(3.0, EventKind::kPacketEnd, 1);
+  q.schedule(4.0, EventKind::kTransition, 2);
+  for (const NodeId node : {NodeId{0}, NodeId{1}}) {
+    for (const bool durable_push : {true, false}) {
+      try {
+        if (durable_push)
+          q.push(9.0, EventKind::kPacketEnd, node);
+        else
+          q.schedule(9.0, EventKind::kPacketEnd, node);
+        FAIL() << "a live durable slot must refuse push and schedule";
+      } catch (const std::logic_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("durable"), std::string::npos) << what;
+        EXPECT_NE(what.find("node " + std::to_string(node)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("kPacketEnd"), std::string::npos) << what;
+      }
+    }
+    q.cancel(node, EventKind::kPacketEnd);  // durable: a no-op
+  }
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.stats().pushes, 3u);
+  EXPECT_EQ(q.stats().cancels, 0u);
+  EXPECT_EQ(q.stats().peak_live, 3u);
+  EXPECT_EQ(q.pop().node, 1u);  // heap, t = 3
+  EXPECT_EQ(q.pop().node, 2u);  // heap, t = 4
+  EXPECT_EQ(q.top().node, 0u);  // lane, t = 5
+  EXPECT_EQ(q.pop().time, 5.0);
+  EXPECT_TRUE(q.empty());
+  // Popped slots are free again, in either structure.
+  q.push(6.0, EventKind::kPacketEnd, 0);
+  q.push(6.0, EventKind::kPacketEnd, 1);
+  EXPECT_EQ(q.pop().node, 0u);
+  EXPECT_EQ(q.pop().node, 1u);
+}
+
+TEST(EventQueue, LaneTimersTieWithHeapEventsByCallOrder) {
+  // Equal times across the lanes and the heap pop in push()/schedule()
+  // order, whichever structure holds each event.
+  EventQueue q;
+  for (NodeId i = 0; i < 300; ++i) {
+    q.push(10.0, EventKind::kIntervalEnd, i);    // lane
+    q.schedule(10.0, EventKind::kTransition, i); // heap
+    q.push(10.0, EventKind::kPacketEnd, i);      // lane
+  }
+  q.push(9.0, EventKind::kIntervalEnd, 300);     // heap: before the tail
+  EXPECT_EQ(q.size(), 901u);
+  EXPECT_EQ(q.pop().node, 300u);
+  for (std::uint64_t seq = 0; seq < 900; ++seq) {
+    const Event e = q.pop();
+    EXPECT_EQ(e.seq, seq);
+    EXPECT_EQ(e.node, seq / 3);
+  }
   EXPECT_TRUE(q.empty());
 }
 

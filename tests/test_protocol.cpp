@@ -5,6 +5,8 @@
 // the sweep-axis specialization helper.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
@@ -168,6 +170,57 @@ TEST(ProtocolAdapters, QueueStatsExtrasAreOptIn) {
                model::homogeneous(5, 1.0, 52.2, 55.4),
                model::Topology::clique(5), /*seed=*/3);
   EXPECT_GT(firmware.extra("queue_pushes"), 0.0);
+}
+
+// The simulator's deterministic counters, pinned: a seeded run must handle
+// exactly these events with exactly these queue operations and produce the
+// same groupput bits. Event-queue and simulator changes that claim not to
+// alter the delivered event sequence are held to them. A change meant to
+// alter the sequence re-records them (and says so in CHANGES.md).
+struct PinnedCounters {
+  double events_processed;
+  double pushes;
+  double pops;
+  double cancels;
+  double peak_live;
+  std::uint64_t groupput_bits;
+};
+
+void expect_counters(const SimResult& r, const PinnedCounters& want) {
+  EXPECT_EQ(r.extra("events_processed"), want.events_processed);
+  EXPECT_EQ(r.extra("queue_pushes"), want.pushes);
+  EXPECT_EQ(r.extra("queue_pops"), want.pops);
+  EXPECT_EQ(r.extra("queue_cancels"), want.cancels);
+  EXPECT_EQ(r.extra("queue_peak_live"), want.peak_live);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.groupput), want.groupput_bits);
+}
+
+TEST(ProtocolAdapters, EconCastCountersArePinned) {
+  // The fig. 6 set-up on an 8x8 grid: energy guard with a storage head
+  // start and a 40% warmup (the guard's refill and watchdog timers, the
+  // warmup snapshot and out-of-order interval lengths all in play).
+  proto::SimConfig grid;
+  grid.sigma = 0.5;
+  grid.duration = 2e4;
+  grid.warmup = 0.4 * grid.duration;
+  grid.energy_guard = true;
+  grid.initial_energy = 5e5;
+  grid.report_queue_stats = true;
+  expect_counters(
+      run_spec(protocol::econcast_spec(grid),
+               model::homogeneous(64, 10.0, 500.0, 500.0),
+               model::Topology::grid(8, 8), /*seed=*/64),
+      {83928, 179874, 83928, 95815, 142, 4593689634316415402u});
+
+  proto::SimConfig clique;
+  clique.sigma = 0.5;
+  clique.duration = 4e4;
+  clique.report_queue_stats = true;
+  expect_counters(
+      run_spec(protocol::econcast_spec(clique),
+               model::homogeneous(16, 10.0, 500.0, 500.0),
+               model::Topology::clique(16), /*seed=*/16),
+      {52813, 52875, 52813, 45, 32, 4618427400414603457u});
 }
 
 TEST(ProtocolAdapters, PandaSimulationMatchesDeprecatedShim) {
