@@ -2,9 +2,9 @@
 //
 // The repo's central invariant — a cell's result bytes are a pure function
 // of its (protocol, scenario, seed) spec, proven byte-identical across
-// threads and fabric shards — makes memoization sound: a cell computed once
-// never needs to run again, across manifests (fig3 and table3 share cells),
-// re-runs and shards.
+// thread counts and processes — makes memoization sound: a cell computed
+// once never needs to run again, across manifests (fig3 and table3 share
+// cells), re-runs and workers.
 //
 // Keying. A cell's cache key is the canonical compact-JSON dump of an
 // object holding everything its result bytes depend on:
@@ -23,10 +23,9 @@
 //   {"format":"econcast-cell-cache","epoch":...,"key":{...},
 //    "cost":{"protocol":...,"units":...},"wall_ms":...,"result":{...}}
 // `key` is stored in full so probes re-validate the entry against the
-// manifest expansion (exactly like the fabric merger re-validates shard
-// records): a hit requires the stored key to equal the expected key
-// value-for-value and the stored result to decode and re-serialize to the
-// identical bytes. Anything else — torn write, truncation, tampering,
+// manifest expansion: a hit requires the stored key to equal the expected
+// key value-for-value and the stored result to decode and re-serialize to
+// the identical bytes. Anything else — torn write, truncation, tampering,
 // epoch or key mismatch, hash collision — is a recorded rejection and the
 // cell recomputes. `cost`/`wall_ms` feed the cost model's calibration
 // (cost_model.h).
@@ -43,6 +42,30 @@
 // metadata), so whichever rename lands last wins and readers never observe
 // a torn entry. Multiple workers/processes may share one cache directory
 // freely.
+//
+// Claims. The cache is also the only coordination between the processes of
+// a distributed sweep. Before computing a cell, a worker claims it with
+// try_claim(), which creates <entry path minus .jsonl>.claim holding one
+// compact JSON line
+//   {"format":"econcast-cell-claim","worker":"<hostname>:<pid>",
+//    "claimed_at":<unix seconds>}
+// The create is a hard link(2) of the cache's claim template
+// (<dir>/.claimer.<host>.<pid>.<n>, rewritten once per second): atomic and
+// exclusive like O_CREAT|O_EXCL, it never exposes an empty claim, and it
+// allocates no inode, which on the filesystems measured made it one to two
+// orders of magnitude cheaper than creating a file per claim. The worker
+// computes and publishes the cell, then release()s the claim. A cell whose
+// claim another live worker holds, or that another worker published since
+// this one probed it, is skipped, not waited for. A claim is stale, and is
+// taken over, when its host is this host and its pid is gone, when it is at
+// least `lease_seconds` old (the only signal across hosts), or when it does
+// not parse (e.g. a file torn by a kill). A claim naming this worker (this
+// host and pid) is this worker's own leftover and is taken over too;
+// threads of one process never take a claim from each other. Nothing
+// heartbeats: a slow worker whose claim is taken over only duplicates a
+// cell whose entry bytes are identical. Claim files and templates never end
+// in .jsonl, so scan() and gc() ignore them. A killed worker leaves its
+// template behind; deleting it is safe.
 #ifndef ECONCAST_RUNNER_CELL_CACHE_H
 #define ECONCAST_RUNNER_CELL_CACHE_H
 
@@ -50,6 +73,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "protocol/protocol.h"
@@ -62,6 +86,9 @@ namespace econcast::runner {
 /// could alter a result byte (simulator logic, RNG, JSON formatting, seed
 /// derivation); entries from other epochs simply miss.
 inline constexpr const char* kCacheEpoch = "econcast-epoch-2";
+
+/// Default claim lease (see the file comment), in seconds.
+inline constexpr std::int64_t kDefaultClaimLeaseSeconds = 300;
 
 class CellCache {
  public:
@@ -79,12 +106,26 @@ class CellCache {
     protocol::SimResult result;  // valid only when hit
   };
 
-  /// A cache rooted at `dir` (created lazily on first publish). The epoch
-  /// defaults to kCacheEpoch; tests inject other epochs to exercise the
-  /// mismatch path.
-  explicit CellCache(std::string dir, std::string epoch = kCacheEpoch);
+  /// The contents of a claim file.
+  struct Claim {
+    std::string worker;          // "<hostname>:<pid>"
+    std::int64_t claimed_at = 0;  // unix seconds
+  };
+
+  /// A cache rooted at `dir` (created lazily on first publish or claim).
+  /// The epoch defaults to kCacheEpoch; tests inject other epochs to
+  /// exercise the mismatch path. Claims older than `lease_seconds` are
+  /// stale; a zero lease makes every foreign claim stale.
+  explicit CellCache(std::string dir, std::string epoch = kCacheEpoch,
+                     std::int64_t lease_seconds = kDefaultClaimLeaseSeconds);
+  /// Removes this cache's claim template.
+  ~CellCache();
+  CellCache(const CellCache&) = delete;
+  CellCache& operator=(const CellCache&) = delete;
 
   const std::string& dir() const noexcept { return dir_; }
+  /// "<hostname>:<pid>", the worker id this cache writes into its claims.
+  const std::string& worker() const noexcept { return worker_; }
   /// Counters so far. Safe to call while other threads probe/publish; each
   /// counter is exact once those calls have returned.
   Stats stats() const noexcept;
@@ -94,6 +135,8 @@ class CellCache {
 
   /// <dir>/<hex[0:2]>/<hex>.jsonl for the given key object.
   std::string entry_path(const util::json::Value& key) const;
+  /// <dir>/<hex[0:2]>/<hex>.claim for the given key object.
+  std::string claim_path(const util::json::Value& key) const;
 
   /// Looks the cell up, re-validating any stored entry. Never throws on a
   /// bad entry — validation failures count as rejected and the caller
@@ -101,15 +144,28 @@ class CellCache {
   /// rejected per call.
   Probe probe(const Scenario& cell, std::uint64_t seed);
 
-  /// Existence-only probe (no read, no validation, no stats) — the cheap
-  /// form the fabric planner uses to cost cached cells at ~zero.
-  bool contains(const Scenario& cell, std::uint64_t seed) const;
-
   /// Writes/overwrites the cell's entry (temp + rename). `wall_ms` is the
   /// observed execution wall clock, persisted for cost-model calibration.
   /// Throws std::runtime_error on I/O failure.
   void publish(const Scenario& cell, std::uint64_t seed,
                const protocol::SimResult& result, double wall_ms);
+
+  // ------------------------------------------------------------ claims --
+
+  /// Claims the cell for this worker (see the file comment). Returns false
+  /// when another live worker, or another thread of this process, holds
+  /// it, or when a valid entry is already published. Throws
+  /// std::runtime_error, naming the path, when the claim cannot be created
+  /// for any other reason.
+  bool try_claim(const Scenario& cell, std::uint64_t seed);
+
+  /// Gives up this worker's claim on the cell: the claim file is removed
+  /// only while it still names this worker. Never throws on I/O errors.
+  void release(const Scenario& cell, std::uint64_t seed);
+
+  /// Parses a claim file. Throws std::runtime_error naming `path` when it
+  /// is unreadable or malformed.
+  static Claim read_claim(const std::string& path);
 
   // ------------------------------------------------ directory utilities --
 
@@ -137,8 +193,24 @@ class CellCache {
   static GcReport gc(const std::string& dir, std::uintmax_t max_bytes);
 
  private:
+  enum class EntryState { kMissing, kInvalid, kValid };
+  /// Reads and re-validates the entry for `key`; `out` is written only
+  /// when it is valid. Touches no counters.
+  EntryState load_entry(const util::json::Value& key,
+                        protocol::SimResult& out) const;
+  bool takeable(const std::string& claim_path) const;
+  /// This cache's claim template, rewritten when its claimed_at is not the
+  /// current second. Returns its path.
+  std::string claim_template();
+
   std::string dir_;
   std::string epoch_;
+  std::int64_t lease_seconds_;
+  std::string host_;
+  std::string worker_;
+  std::string template_path_;
+  std::mutex template_mutex_;  // guards the template file and time
+  std::int64_t template_time_ = -1;
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
   std::atomic<std::size_t> rejected_{0};

@@ -1,5 +1,6 @@
 #include "runner/scenario_runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -105,6 +106,7 @@ BatchResult ScenarioRunner::run_with_seeds(
   BatchResult out;
   out.results.resize(batch.size());
   std::vector<double> wall_ms(batch.size(), 0.0);
+  std::vector<char> skipped(batch.size(), 0);
 
   // `k` is the submission index; the scenario it runs is submit_order[k]
   // (or k itself when no permutation was given). Every write below is
@@ -113,6 +115,10 @@ BatchResult ScenarioRunner::run_with_seeds(
   const auto task = [&](std::size_t k) {
     const std::size_t i = submit_order.empty() ? k : submit_order[k];
     const Scenario& s = batch[i];
+    if (options_.before_scenario && !options_.before_scenario(i)) {
+      skipped[i] = 1;
+      return;
+    }
     // NOLINT-DETERMINISM(wall-clock): telemetry only — the measured wall
     // clock feeds cost-model calibration and progress ETAs, never results.
     const auto started = std::chrono::steady_clock::now();
@@ -141,7 +147,8 @@ BatchResult ScenarioRunner::run_with_seeds(
       const std::size_t i =
           submit_order.empty() ? p.index : submit_order[p.index];
       options_.on_scenario_done(ScenarioProgress{
-          i, p.done, p.total, &batch[i], &out.results[i], wall_ms[i]});
+          i, p.done, p.total, &batch[i],
+          skipped[i] ? nullptr : &out.results[i], wall_ms[i]});
     };
   }
 
@@ -149,7 +156,14 @@ BatchResult ScenarioRunner::run_with_seeds(
       options_.executor ? *options_.executor : exec::Executor::shared();
   executor.parallel_for(batch.size(), task, effective_threads(), progress);
 
-  out.summary = summarize(out.results);
+  if (std::find(skipped.begin(), skipped.end(), 1) == skipped.end()) {
+    out.summary = summarize(out.results);
+  } else {
+    std::vector<protocol::SimResult> computed;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      if (!skipped[i]) computed.push_back(out.results[i]);
+    out.summary = summarize(computed);
+  }
   return out;
 }
 

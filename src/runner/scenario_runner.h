@@ -25,6 +25,11 @@
 // including 1 — covered by tests/test_runner.cpp. The seed_offset overload
 // lets a checkpointed sweep (runner::SweepSession) run any suffix of a batch
 // with exactly the seeds the full batch would have used.
+//
+// Worker-side hooks (RunnerOptions) run on the thread that computes a
+// scenario: before_scenario right before it, and may skip it (a distributed
+// sweep claims the cell there); on_scenario_computed right after it.
+// on_scenario_done is the serialized completion hook.
 #ifndef ECONCAST_RUNNER_SCENARIO_RUNNER_H
 #define ECONCAST_RUNNER_SCENARIO_RUNNER_H
 
@@ -111,8 +116,19 @@ struct RunnerOptions {
   std::shared_ptr<exec::Executor> executor;
 
   /// Opt-in per-scenario completion hook (progress lines, checkpoint
-  /// streaming). See ScenarioProgress for the invocation contract.
+  /// streaming). See ScenarioProgress for the invocation contract. For a
+  /// scenario skipped by before_scenario, `result` is null.
   std::function<void(const ScenarioProgress&)> on_scenario_done;
+
+  /// Opt-in worker-side predicate: runs on the worker thread right before
+  /// scenario `index` is computed (calls are not serialized). Returning
+  /// false skips the scenario: no simulation runs, on_scenario_computed is
+  /// not called, on_scenario_done reports `result == nullptr`, and its
+  /// result slot stays default-constructed and out of the summary. This is
+  /// where a distributed sweep claims the cell it is about to compute. An
+  /// exception thrown here fails the scenario like one thrown by its
+  /// simulation.
+  std::function<bool(std::size_t index)> before_scenario;
 
   /// Opt-in per-scenario worker-side hook: runs on the thread that computed
   /// scenario `index`, right after its result is written and before that

@@ -1,5 +1,6 @@
 #include "runner/sweep_session.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -30,14 +31,6 @@ SweepSession::SweepSession(SweepManifest manifest, std::string results_path,
       results_path_(std::move(results_path)),
       options_(std::move(options)),
       batch_(manifest_.spec.expand()) {
-  begin_ = options_.cell_begin;
-  end_ = options_.cell_end == 0 ? batch_.size() : options_.cell_end;
-  if (begin_ > end_ || end_ > batch_.size())
-    throw std::invalid_argument(
-        "sweep '" + manifest_.spec.name() + "': cell range [" +
-        std::to_string(begin_) + ", " + std::to_string(end_) +
-        ") is not a subrange of the " + std::to_string(batch_.size()) +
-        "-cell expansion");
   completed_.reserve(cell_count());
   load_existing();
 }
@@ -88,13 +81,12 @@ void SweepSession::load_existing() {
   std::uintmax_t good_bytes = 0;
   while (std::getline(in, line)) {
     if (in.eof()) break;  // no trailing '\n': a kill mid-write — truncate it
-    const std::size_t index = begin_ + completed_.size();
-    if (index >= end_)
+    const std::size_t index = completed_.size();
+    if (index >= cell_count())
       throw std::runtime_error(
           "results file '" + results_path_ + "' has more cells than the " +
-          std::to_string(cell_count()) + "-cell range [" +
-          std::to_string(begin_) + ", " + std::to_string(end_) +
-          ") of sweep '" + manifest_.spec.name() + "'");
+          std::to_string(cell_count()) + "-cell sweep '" +
+          manifest_.spec.name() + "'");
     const Value record = util::json::parse(line);
     const Object& o = record.as_object();
     const auto recorded_index =
@@ -109,7 +101,7 @@ void SweepSession::load_existing() {
           std::to_string(completed_.size() + 1) +
           " does not match sweep '" + manifest_.spec.name() + "' cell " +
           std::to_string(index) + " ('" + batch_[index].name +
-          "'): the file belongs to a different manifest or shard");
+          "'): the file belongs to a different manifest");
     completed_.push_back(protocol::sim_result_from_json(o.at("result")));
     good_bytes += line.size() + 1;
   }
@@ -125,10 +117,11 @@ void SweepSession::load_existing() {
 }
 
 std::size_t SweepSession::run(std::size_t limit) {
-  // `offset` is the global index of the first cell still to run.
-  const std::size_t offset = begin_ + completed_.size();
-  std::size_t todo = end_ - offset;
+  // `offset` is the index of the first cell still to run.
+  const std::size_t offset = completed_.size();
+  std::size_t todo = cell_count() - offset;
   if (limit > 0 && limit < todo) todo = limit;
+  deferred_ = 0;
   if (todo == 0) return 0;
 
   std::ofstream out(results_path_, std::ios::binary | std::ios::app);
@@ -145,7 +138,7 @@ std::size_t SweepSession::run(std::size_t limit) {
   // results in `cached` — stable storage, the vector never resizes — and
   // skip execution entirely; only the misses in `miss_local` run.
   std::vector<std::optional<protocol::SimResult>> cached(todo);
-  std::vector<std::size_t> miss_local;  // local (range-relative) indices
+  std::vector<std::size_t> miss_local;  // local (offset-relative) indices
   if (options_.cache) {
     CellCache& cache = *options_.cache;
     ScenarioRunner(runner_options).for_each(todo, [&](std::size_t local) {
@@ -194,7 +187,7 @@ std::size_t SweepSession::run(std::size_t limit) {
       ++next_flush;
       if (options_.on_cell_done) {
         ScenarioProgress global;
-        global.index = begin_ + completed_.size() - 1;  // global cell index
+        global.index = completed_.size() - 1;
         global.done = completed_.size();
         global.total = cell_count();
         global.scenario = &batch_[global.index];
@@ -218,12 +211,27 @@ std::size_t SweepSession::run(std::size_t limit) {
       seeds.push_back(cell_seed(offset + local));
     }
 
-    // p.index is the cell's position in `pending` regardless of the
+    // p.index / i is the cell's position in `pending` regardless of the
     // submission permutation (run_with_seeds keys progress by original
-    // batch index). The worker-side hook does everything that needs no
-    // ordering — publish and encode — on the cell's own thread, writing
-    // only that cell's slot; the serialized hook just marks it ready and
-    // appends.
+    // batch index). The worker-side hooks do everything that needs no
+    // ordering — claim, publish, release and encode — on the cell's own
+    // thread, writing only that cell's slot; the serialized hook just marks
+    // it ready and appends. A cell left to another worker reports a null
+    // result and stays not-ready, so the flush stops in front of it.
+    std::vector<char> claimed(pending.size(), 0);
+    std::vector<char> skipped(pending.size(), 0);
+    if (options_.cache) {
+      runner_options.before_scenario = [&](std::size_t i) {
+        try {
+          claimed[i] = options_.cache->try_claim(pending[i], seeds[i]);
+          skipped[i] = !claimed[i];
+        } catch (const std::exception&) {
+          // An unwritable cache, or one on a filesystem without hard
+          // links, cannot coordinate: compute unclaimed.
+        }
+        return !skipped[i];
+      };
+    }
     runner_options.on_scenario_computed = [&](const ScenarioProgress& p) {
       const std::size_t local = miss_local[p.index];
       if (options_.cache) {
@@ -233,6 +241,10 @@ std::size_t SweepSession::run(std::size_t limit) {
         } catch (const std::exception&) {
           // The cache is an optimization: a read-only or full cache
           // directory degrades to recomputing, it never fails the sweep.
+        }
+        if (claimed[p.index]) {
+          options_.cache->release(pending[p.index], seeds[p.index]);
+          claimed[p.index] = 0;
         }
       }
       lines[local] = record_line(offset + local, *p.result);
@@ -249,9 +261,17 @@ std::size_t SweepSession::run(std::size_t limit) {
       if (options_.cache) model.calibrate_from_cache(options_.cache->dir());
       order = cost_submit_order(pending, model, runner.effective_threads());
     }
-    runner.run_with_seeds(pending, seeds, order);
+    try {
+      runner.run_with_seeds(pending, seeds, order);
+    } catch (...) {
+      for (std::size_t i = 0; i < pending.size(); ++i)
+        if (claimed[i]) options_.cache->release(pending[i], seeds[i]);
+      throw;
+    }
+    deferred_ = static_cast<std::size_t>(
+        std::count(skipped.begin(), skipped.end(), 1));
   }
-  return todo;
+  return completed_.size() - offset;
 }
 
 BatchResult SweepSession::results() const {

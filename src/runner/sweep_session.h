@@ -23,11 +23,22 @@
 //
 // Two throughput layers sit on top (both output-invisible by construction):
 //  - A content-addressed CellCache (cell_cache.h). Before submitting the
-//    pending range, the session probes every cell; hits are fed straight
+//    pending cells, the session probes every cell; hits are fed straight
 //    into the reorder buffer and only misses run. Completed misses are
 //    published back by the worker that computed them. A warm rerun
 //    therefore executes zero cells while producing byte-identical results
 //    files.
+//  - Distributed sweeps, through the same cache. Right before computing a
+//    miss, the worker thread claims it (CellCache::try_claim, through
+//    ScenarioRunner's before_scenario hook), then publishes it and releases
+//    the claim. A miss another live worker holds, or has published since
+//    the probe, is skipped, not waited for: the reorder buffer stops
+//    flushing at it, later cells are still computed and published, and
+//    deferred_cells() counts what was left.
+//    Any number of processes, each with its own results file, can run one
+//    manifest against one cache directory; once none holds a claim, one
+//    more run of the same command is a warm pass that writes the canonical
+//    results file.
 //  - Cost-model submission order (cost_model.h). With SubmitOrder::kCost the
 //    pending misses are submitted longest-expected-first (LPT), shrinking
 //    the makespan tail where one heavy cell lands last on a busy pool. The
@@ -75,22 +86,12 @@ class SweepSession {
     /// those loaded from a previous run. Serialized; invoked after the
     /// cell's line has been appended to the results file.
     std::function<void(const ScenarioProgress&)> on_cell_done;
-    /// Restrict the session to the contiguous expansion range
-    /// [cell_begin, cell_end) — the primitive behind sharded sweeps
-    /// (src/fabric). cell_end == 0 means "through the last cell". The
-    /// results file then holds exactly that range, with every record still
-    /// keyed by *global* cell index/name/seed, so concatenating the files
-    /// of a partition of [0, cell_count) in order reproduces the
-    /// whole-sweep results file byte for byte. The constructor throws
-    /// std::invalid_argument on inverted or out-of-range bounds.
-    std::size_t cell_begin = 0;
-    std::size_t cell_end = 0;
     /// Result cache shared with other sessions/processes; null disables
     /// caching. run() probes it before submitting (hits skip execution
-    /// entirely) and publishes every newly computed cell, both from worker
-    /// threads. The same pointer may back many sessions — CellCache keeps
-    /// per-instance atomic stats, and the on-disk directory is multi-process
-    /// safe.
+    /// entirely), and claims, publishes and releases every cell it
+    /// computes, all from worker threads. The same pointer may back many
+    /// sessions — CellCache keeps per-instance atomic stats, and the on-disk
+    /// directory is multi-process safe.
     std::shared_ptr<CellCache> cache;
     /// See SubmitOrder. kCost calibrates a CostModel from the cache
     /// directory (when a cache is attached) so the ordering improves as
@@ -116,15 +117,15 @@ class SweepSession {
   /// "<path minus trailing .json>.results.jsonl".
   static std::string default_results_path(const std::string& manifest_path);
 
-  /// Number of cells this session owns — the whole expansion unless Options
-  /// restricted it to a range.
-  std::size_t cell_count() const noexcept { return end_ - begin_; }
+  std::size_t cell_count() const noexcept { return batch_.size(); }
   std::size_t completed_cells() const noexcept { return completed_.size(); }
   bool complete() const noexcept { return completed_.size() == cell_count(); }
-  /// Global index of the first / one-past-last cell this session owns.
-  std::size_t cell_begin() const noexcept { return begin_; }
-  std::size_t cell_end() const noexcept { return end_; }
-  /// The *full* expansion, indexed by global cell index (not range-local).
+  /// Cells the last run() left to other workers: another live worker held
+  /// their claim, or had published them since the probe. Nonzero means the
+  /// results file stops before the first of them; rerun once those workers
+  /// are done to assemble the rest from the cache.
+  std::size_t deferred_cells() const noexcept { return deferred_; }
+  /// The manifest expansion, indexed by cell index.
   const std::vector<Scenario>& cells() const noexcept { return batch_; }
   const std::string& results_path() const noexcept { return results_path_; }
   const SweepManifest& manifest() const noexcept { return manifest_; }
@@ -134,13 +135,15 @@ class SweepSession {
 
   /// Runs up to `limit` of the remaining cells (0 = all remaining),
   /// appending each completed cell to the results file. Returns the number
-  /// of newly completed cells. Safe to call repeatedly; a no-op when the
-  /// session is already complete. If a cell throws, every cell completed
-  /// before the failure is already checkpointed and the exception is
-  /// rethrown.
+  /// of newly completed cells, which stops short of `limit` when a cell is
+  /// deferred to another worker (see deferred_cells()). Safe to call
+  /// repeatedly; a no-op when the session is already complete. If a cell
+  /// throws, every cell completed before the failure is already
+  /// checkpointed, the claims still held are released, and the exception
+  /// is rethrown.
   std::size_t run(std::size_t limit = 0);
 
-  /// Index-ordered results and summary over this session's cell range.
+  /// Index-ordered results and summary over the whole sweep.
   /// Requires complete() (throws std::logic_error otherwise).
   BatchResult results() const;
 
@@ -154,11 +157,9 @@ class SweepSession {
   std::string results_path_;
   Options options_;
   std::vector<Scenario> batch_;  // full expansion
-  std::size_t begin_ = 0;        // session range [begin_, end_)
-  std::size_t end_ = 0;
-  /// Completed prefix of the session range, mirroring the file: completed_
-  /// holds cells [begin_, begin_ + completed_.size()).
+  /// Completed prefix of the expansion, mirroring the file.
   std::vector<protocol::SimResult> completed_;
+  std::size_t deferred_ = 0;
 };
 
 }  // namespace econcast::runner

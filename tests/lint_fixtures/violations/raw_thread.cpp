@@ -1,4 +1,4 @@
-// Seeded violation: ad-hoc threading outside src/exec and src/fabric.
+// Seeded violation: ad-hoc threading outside src/exec.
 #include <future>
 #include <pthread.h>
 #include <thread>

@@ -1,10 +1,12 @@
 // Tests for the sweep throughput layer: the content-addressed CellCache
 // (hit/miss/rejected/publish accounting, tamper and truncation rejection,
-// epoch isolation, concurrent publish, gc/scan), the CostModel and its LPT
-// submission order, ScenarioRunner::run_with_seeds permutation validation,
-// and the end-to-end guarantee the whole layer hangs off: a sweep run with
-// the cache off, cold or warm — and in either submission order — produces
-// byte-identical results files, with the warm run executing zero cells.
+// epoch isolation, concurrent publish, gc/scan), its per-cell claims
+// (exclusive acquire across threads, staleness, malformed claim files), the
+// CostModel and its LPT submission order, ScenarioRunner::run_with_seeds
+// permutation validation and skip hook, and the end-to-end guarantee the
+// whole layer hangs off: a sweep run with the cache off, cold or warm — and
+// in either submission order — produces byte-identical results files, with
+// the warm run executing zero cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -192,6 +194,179 @@ TEST(CellCache, ScanAndGcAccountForEntries) {
   EXPECT_EQ(runner::CellCache::scan(cache_dir).entries, 0u);
   EXPECT_EQ(runner::CellCache::gc((dir / "nope").string(), 0).entries_before,
             0u);
+}
+
+// ------------------------------------------------------------ claims --
+
+std::string claim_file(runner::CellCache& cache, const runner::Scenario& cell,
+                       std::uint64_t seed) {
+  return cache.claim_path(cache.cell_key(cell, seed));
+}
+
+/// Rewrites `text`'s worker id: turns a claim this cache wrote (so its
+/// claimed_at comes from the cache's own clock) into someone else's.
+std::string with_worker(std::string text, const std::string& from,
+                        const std::string& to) {
+  const std::size_t pos = text.find("\"" + from + "\"");
+  EXPECT_NE(pos, std::string::npos) << text;
+  if (pos != std::string::npos) text.replace(pos + 1, from.size(), to);
+  return text;
+}
+
+TEST(CellClaim, AcquireIsExclusiveAndReleaseRemovesOnlyOwnClaims) {
+  const ScopedTempDir temp;
+  const std::string cache_dir = (temp.path() / "cache").string();
+  const auto cells = small_manifest().spec.expand();
+  runner::CellCache cache(cache_dir);
+  runner::CellCache other_instance(cache_dir);
+  const std::string path = claim_file(cache, cells[0], 7);
+  ASSERT_EQ(path.substr(path.size() - 6), ".claim");
+
+  EXPECT_TRUE(cache.try_claim(cells[0], 7));
+  const runner::CellCache::Claim claim = runner::CellCache::read_claim(path);
+  EXPECT_EQ(claim.worker, cache.worker());
+  EXPECT_GT(claim.claimed_at, 0);
+  // Held: neither this cache nor another one in this process gets it again.
+  EXPECT_FALSE(cache.try_claim(cells[0], 7));
+  EXPECT_FALSE(other_instance.try_claim(cells[0], 7));
+  // The claim is not an entry: scans and probes do not see it.
+  EXPECT_EQ(runner::CellCache::scan(cache_dir).entries, 0u);
+  EXPECT_FALSE(cache.probe(cells[0], 7).hit);
+
+  cache.release(cells[0], 7);
+  EXPECT_FALSE(fs::exists(path));
+  cache.release(cells[0], 7);  // idempotent
+  EXPECT_TRUE(other_instance.try_claim(cells[0], 7));
+
+  // A fresh claim of a live foreign worker is left alone, and releasing a
+  // cell this worker does not hold never removes someone else's claim.
+  const std::string foreign =
+      with_worker(slurp(path), cache.worker(), "other-host:1");
+  other_instance.release(cells[0], 7);
+  spit(path, foreign);
+  EXPECT_FALSE(cache.try_claim(cells[0], 7));
+  cache.release(cells[0], 7);
+  EXPECT_EQ(slurp(path), foreign);
+}
+
+TEST(CellClaim, PublishedCellsAreNotClaimedButInvalidEntriesAre) {
+  // A worker that probed a cell before another worker published it must
+  // not compute it again; a rejected entry still recomputes.
+  const ScopedTempDir temp;
+  const std::string cache_dir = (temp.path() / "cache").string();
+  const auto cells = small_manifest().spec.expand();
+  runner::CellCache cache(cache_dir);
+  const std::string path = claim_file(cache, cells[0], 7);
+  cache.publish(cells[0], 7, protocol::SimResult{}, 1.0);
+  EXPECT_FALSE(cache.try_claim(cells[0], 7));
+  EXPECT_FALSE(fs::exists(path));
+  spit(cache.entry_path(cache.cell_key(cells[0], 7)), "torn");
+  EXPECT_TRUE(cache.try_claim(cells[0], 7));
+  cache.release(cells[0], 7);
+  const runner::CellCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.rejected, 0u);
+}
+
+TEST(CellClaim, ManyThreadsClaimingOneCellExactlyOneWins) {
+  const ScopedTempDir temp;
+  const std::string cache_dir = (temp.path() / "cache").string();
+  const auto cells = small_manifest().spec.expand();
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kRounds = 20;
+  runner::CellCache shared(cache_dir);
+  for (std::uint64_t seed = 0; seed < kRounds; ++seed) {
+    std::atomic<int> winners{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        // Half the threads share one cache, half build their own: either
+        // way they are one worker, so the claim file alone cannot tell
+        // them apart.
+        runner::CellCache own(cache_dir);
+        runner::CellCache& cache = t % 2 == 0 ? shared : own;
+        if (cache.try_claim(cells[seed % cells.size()], seed))
+          winners.fetch_add(1);
+      });
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(winners.load(), 1) << "round " << seed;
+    shared.release(cells[seed % cells.size()], seed);
+  }
+}
+
+TEST(CellClaim, StaleOwnAndAgedClaimsAreTakenOver) {
+  const ScopedTempDir temp;
+  const std::string cache_dir = (temp.path() / "cache").string();
+  const auto cells = small_manifest().spec.expand();
+  runner::CellCache cache(cache_dir);
+  const std::string path = claim_file(cache, cells[1], 3);
+  fs::create_directories(fs::path(path).parent_path());
+  const auto claim_text = [](const std::string& worker,
+                             const std::string& claimed_at) {
+    return "{\"format\":\"econcast-cell-claim\",\"worker\":\"" + worker +
+           "\",\"claimed_at\":" + claimed_at + "}\n";
+  };
+
+  // Older than the lease: stale, whoever wrote it.
+  spit(path, claim_text("other-host:1", "0"));
+  EXPECT_TRUE(cache.try_claim(cells[1], 3));
+  EXPECT_EQ(runner::CellCache::read_claim(path).worker, cache.worker());
+  cache.release(cells[1], 3);
+
+  // Naming this worker (a leftover, e.g. from a reused pid): its own.
+  spit(path, claim_text(cache.worker(), "4000000000"));
+  EXPECT_TRUE(cache.try_claim(cells[1], 3));
+  cache.release(cells[1], 3);
+  EXPECT_FALSE(fs::exists(path));
+
+  // A foreign claim stamped in the future is never stale by age.
+  spit(path, claim_text("other-host:1", "4000000000"));
+  EXPECT_FALSE(cache.try_claim(cells[1], 3));
+}
+
+TEST(CellClaim, MalformedClaimsAreNamedErrorsAndTakenOver) {
+  const ScopedTempDir temp;
+  const std::string cache_dir = (temp.path() / "cache").string();
+  const auto cells = small_manifest().spec.expand();
+  runner::CellCache cache(cache_dir);
+  const std::string path = claim_file(cache, cells[2], 5);
+  fs::create_directories(fs::path(path).parent_path());
+
+  struct Case {
+    const char* what;
+    const char* text;
+  };
+  const Case cases[] = {
+      {"empty (killed between create and write)", ""},
+      {"truncated JSON", "{\"format\":\"econcast-cell-claim\",\"work"},
+      {"wrong format",
+       "{\"format\":\"econcast-shard-claim\",\"worker\":\"other-host:1\","
+       "\"claimed_at\":4000000000}\n"},
+      {"non-numeric claimed_at",
+       "{\"format\":\"econcast-cell-claim\",\"worker\":\"other-host:1\","
+       "\"claimed_at\":\"soon\"}\n"},
+      {"claimed_at out of range",
+       "{\"format\":\"econcast-cell-claim\",\"worker\":\"other-host:1\","
+       "\"claimed_at\":1e300}\n"},
+      {"missing worker",
+       "{\"format\":\"econcast-cell-claim\",\"claimed_at\":4000000000}\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    spit(path, c.text);
+    try {
+      (void)runner::CellCache::read_claim(path);
+      ADD_FAILURE() << "read_claim accepted a malformed claim";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(cache.try_claim(cells[2], 5));
+    EXPECT_EQ(runner::CellCache::read_claim(path).worker, cache.worker());
+    cache.release(cells[2], 5);
+    EXPECT_FALSE(fs::exists(path));
+  }
+  // A missing file is a named error too.
+  EXPECT_THROW((void)runner::CellCache::read_claim(path), std::runtime_error);
 }
 
 // ------------------------------------------------- sweep-session plumbing --
@@ -411,6 +586,38 @@ TEST(RunWithSeeds, ValidatesSeedsAndPermutation) {
                std::invalid_argument);
   EXPECT_THROW(r.run_with_seeds(batch, seeds, {0, 1, 2, 4}),
                std::invalid_argument);
+}
+
+TEST(RunWithSeeds, BeforeScenarioSkipsCells) {
+  const auto cells = small_manifest().spec.expand();
+  const std::vector<runner::Scenario> batch(cells.begin(), cells.begin() + 6);
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    seeds.push_back(runner::derive_seed(7, i));
+  runner::RunnerOptions options{2, 7, true};
+  std::vector<int> computed(batch.size(), 0);
+  std::vector<int> null_results(batch.size(), 0);
+  options.before_scenario = [](std::size_t i) { return i % 2 == 0; };
+  options.on_scenario_computed = [&](const runner::ScenarioProgress& p) {
+    ++computed[p.index];
+  };
+  options.on_scenario_done = [&](const runner::ScenarioProgress& p) {
+    null_results[p.index] += p.result == nullptr ? 1 : 0;
+  };
+  const runner::BatchResult skipping =
+      runner::ScenarioRunner(options).run_with_seeds(batch, seeds);
+  EXPECT_EQ(computed, (std::vector<int>{1, 0, 1, 0, 1, 0}));
+  EXPECT_EQ(null_results, (std::vector<int>{0, 1, 0, 1, 0, 1}));
+  // The summary covers the computed cells only.
+  EXPECT_EQ(skipping.summary.groupput.count(), 3u);
+
+  const runner::BatchResult all =
+      runner::ScenarioRunner(runner::RunnerOptions{2, 7, true})
+          .run_with_seeds(batch, seeds);
+  for (std::size_t i = 0; i < batch.size(); i += 2)
+    EXPECT_EQ(util::json::dump(protocol::to_json(skipping.results[i])),
+              util::json::dump(protocol::to_json(all.results[i])))
+        << "cell " << i;
 }
 
 TEST(RunWithSeeds, SubmissionOrderCannotChangeResults) {

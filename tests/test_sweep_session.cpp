@@ -10,8 +10,15 @@
 //  - a cached session on a 4-worker executor (workers probe, publish and
 //    encode; the serialized hook only appends): off/cold/warm/half-warm
 //    bytes identical, exact cache stats, in-order on_cell_done, and an
-//    unwritable cache degrading to recompute.
+//    unwritable cache degrading to recompute,
+//  - distributed sweeps through cell claims: a cell held by another live
+//    worker is deferred (the file stops in front of it, later cells are
+//    still published), a rerun assembles a byte-identical file, and dead
+//    same-host claims, zero-lease caches and failing cells never leave a
+//    cell blocked.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -766,6 +773,161 @@ TEST(SweepSession, UnwritableCacheOnFourWorkersDegradesToRecompute) {
   const runner::CellCache::Stats stats = options.cache->stats();
   EXPECT_EQ(stats.misses, 16u);
   EXPECT_EQ(stats.publishes, 0u);
+}
+
+// ------------------------------------------ distributed sweeps via claims --
+
+/// Claims cell `index` through `cache`, then rewrites the claim to name
+/// `worker`: a fresh claim, stamped by the cache's own clock, that belongs
+/// to someone else. Returns the claim file's path.
+std::string forge_fresh_claim(runner::CellCache& cache,
+                              const runner::SweepManifest& manifest,
+                              std::size_t index, const std::string& worker) {
+  const std::vector<runner::Scenario> batch = manifest.spec.expand();
+  const std::uint64_t seed =
+      runner::manifest_cell_seed(manifest, batch[index], index);
+  const std::string path =
+      cache.claim_path(cache.cell_key(batch[index], seed));
+  EXPECT_TRUE(cache.try_claim(batch[index], seed));
+  std::string text = slurp(path);
+  cache.release(batch[index], seed);
+  text.replace(text.find(cache.worker()), cache.worker().size(), worker);
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+std::size_t claim_files(const fs::path& cache_dir) {
+  std::size_t n = 0;
+  for (const auto& e : fs::recursive_directory_iterator(cache_dir))
+    n += e.path().extension() == ".claim" ? 1 : 0;
+  return n;
+}
+
+/// The first `lines` lines of `text`.
+std::string line_prefix(const std::string& text, std::size_t lines) {
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < lines; ++i) end = text.find('\n', end) + 1;
+  return text.substr(0, end);
+}
+
+runner::SweepSession::Options four_workers() {
+  runner::SweepSession::Options options;
+  options.executor = std::make_shared<exec::Executor>(4);
+  options.num_threads = 4;
+  return options;
+}
+
+TEST(SweepSessionClaims, ForeignClaimDefersThatCellAndARerunAssembles) {
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
+  const runner::SweepManifest manifest(small_sweep(), 7, true);
+  const std::vector<runner::Scenario> batch = manifest.spec.expand();
+  ASSERT_EQ(batch.size(), 16u);
+  const fs::path cache_dir = dir / "cache";
+  runner::SweepSession::Options options = four_workers();
+  const std::string reference = run_checked(manifest, dir / "off.jsonl",
+                                            options);
+
+  // Another host's worker holds cell 5: this worker skips it, stops its
+  // file in front of it, and still computes and publishes every other cell.
+  options.cache = std::make_shared<runner::CellCache>(cache_dir.string());
+  const std::string claim =
+      forge_fresh_claim(*options.cache, manifest, 5, "other-host:1");
+  {
+    runner::SweepSession session(manifest, (dir / "w.jsonl").string(),
+                                 options);
+    EXPECT_EQ(session.run(), 5u);
+    EXPECT_FALSE(session.complete());
+    EXPECT_EQ(session.deferred_cells(), 1u);
+    EXPECT_EQ(session.completed_cells(), 5u);
+  }
+  EXPECT_EQ(slurp(dir / "w.jsonl"), line_prefix(reference, 5));
+  EXPECT_EQ(options.cache->stats().misses, 16u);
+  EXPECT_EQ(options.cache->stats().publishes, 15u);
+  EXPECT_EQ(runner::CellCache::read_claim(claim).worker, "other-host:1");
+  EXPECT_EQ(claim_files(cache_dir), 1u);
+  runner::CellCache check(cache_dir.string());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(check
+                  .probe(batch[i],
+                         runner::manifest_cell_seed(manifest, batch[i], i))
+                  .hit,
+              i != 5)
+        << "cell " << i;
+
+  // Once that worker is gone, rerunning the same command completes the
+  // file byte-identically, computing exactly the one missing cell.
+  fs::remove(claim);
+  options.cache = std::make_shared<runner::CellCache>(cache_dir.string());
+  runner::SweepSession rerun(manifest, (dir / "w.jsonl").string(), options);
+  EXPECT_EQ(rerun.run(), 11u);
+  EXPECT_TRUE(rerun.complete());
+  EXPECT_EQ(rerun.deferred_cells(), 0u);
+  EXPECT_EQ(slurp(dir / "w.jsonl"), reference);
+  EXPECT_EQ(options.cache->stats().hits, 10u);
+  EXPECT_EQ(options.cache->stats().misses, 1u);
+  EXPECT_EQ(options.cache->stats().publishes, 1u);
+  EXPECT_EQ(claim_files(cache_dir), 0u);
+}
+
+TEST(SweepSessionClaims, DeadSameHostClaimIsTakenOverAtOnce) {
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
+  const runner::SweepManifest manifest(small_sweep(), 7, true);
+  const fs::path cache_dir = dir / "cache";
+  runner::SweepSession::Options options = four_workers();
+  const std::string reference = run_checked(manifest, dir / "off.jsonl",
+                                            options);
+
+  // A worker on this host that died holding cell 3: a forked, reaped child.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  options.cache = std::make_shared<runner::CellCache>(cache_dir.string());
+  const std::string& self = options.cache->worker();
+  const std::string host = self.substr(0, self.rfind(':'));
+  forge_fresh_claim(*options.cache, manifest, 3,
+                    host + ":" + std::to_string(child));
+
+  EXPECT_EQ(run_checked(manifest, dir / "w.jsonl", options), reference);
+  EXPECT_EQ(options.cache->stats().publishes, 16u);
+  EXPECT_EQ(claim_files(cache_dir), 0u);
+}
+
+TEST(SweepSessionClaims, ZeroLeaseCacheTakesOverFreshForeignClaims) {
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
+  const runner::SweepManifest manifest(small_sweep(), 7, true);
+  const fs::path cache_dir = dir / "cache";
+  runner::SweepSession::Options options = four_workers();
+  const std::string reference = run_checked(manifest, dir / "off.jsonl",
+                                            options);
+
+  options.cache = std::make_shared<runner::CellCache>(
+      cache_dir.string(), runner::kCacheEpoch, /*lease_seconds=*/0);
+  forge_fresh_claim(*options.cache, manifest, 0, "other-host:1");
+  forge_fresh_claim(*options.cache, manifest, 9, "other-host:2");
+  EXPECT_EQ(run_checked(manifest, dir / "w.jsonl", options), reference);
+  EXPECT_EQ(options.cache->stats().publishes, 16u);
+  EXPECT_EQ(claim_files(cache_dir), 0u);
+}
+
+TEST(SweepSessionClaims, FailingCellsReleaseTheirClaims) {
+  // The P4 cells need a clique and fail on a ring; every claim taken before
+  // the failure is gone once run() has rethrown.
+  const ScopedTempDir temp;
+  const fs::path& dir = temp.path();
+  const runner::SweepManifest manifest(
+      small_sweep().topology("ring").node_counts({4}), 7, true);
+  const fs::path cache_dir = dir / "cache";
+  runner::SweepSession::Options options = four_workers();
+  options.cache = std::make_shared<runner::CellCache>(cache_dir.string());
+  runner::SweepSession session(manifest, (dir / "w.jsonl").string(), options);
+  EXPECT_THROW(session.run(), std::invalid_argument);
+  EXPECT_FALSE(session.complete());
+  EXPECT_EQ(claim_files(cache_dir), 0u);
 }
 
 TEST(SweepSession, DefaultResultsPath) {

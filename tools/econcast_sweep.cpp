@@ -1,13 +1,12 @@
 // econcast_sweep — run any JSON sweep manifest end-to-end with
-// checkpoint/resume, as one shard of a distributed (fabric) sweep, or as
-// the merge step that combines shard files into the canonical results.
+// checkpoint/resume, alone or as one of many workers sharing a cache.
 //
 //   econcast_sweep <manifest.json> [--results PATH] [--threads N]
-//                  [--limit N] [--fresh] [--progress] [--quiet]
+//                  [--limit N] [--cache DIR [--lease SEC]] [--order NAME]
+//                  [--fresh] [--progress] [--quiet]
 //   econcast_sweep <manifest.json> --dry-run
-//   econcast_sweep <manifest.json> --shard I/K [--worker-id ID] [--threads N]
-//                  [--limit N] [--progress]
-//   econcast_sweep <manifest.json> --merge [--shards K] [--results PATH]
+//   econcast_sweep cache-stats <dir>
+//   econcast_sweep cache-gc <dir> --max-bytes N
 //
 // Completed cells stream to the results JSONL next to the manifest (or
 // --results). Re-running the same command resumes: the completed prefix is
@@ -16,36 +15,37 @@
 // uninterrupted run. --limit N checkpoints after N new cells and exits,
 // which is how CI exercises the kill/resume path deterministically.
 //
-// --shard I/K claims shard I of a K-way split (src/fabric): the shard's
-// cells stream to <manifest>.fabric/shard-I-of-K.jsonl under a heartbeating
-// claim file, and kill/resume works per shard exactly as it does for whole
-// sweeps. --merge validates and concatenates the shard files into the
-// canonical results file, byte-identical to a single-process run. See the
-// README's "Distributed sweeps" section and tools/econcast_fabricd.cpp for
-// the coordinator that automates planning, reassignment and merging.
+// Distributed sweeps: any number of processes, on any hosts, run the same
+// manifest with one shared --cache directory and a --results file each.
+// Every worker claims each cell right before computing it (a .claim file
+// beside the cell's cache entry), publishes it, and releases the claim;
+// cells another live worker holds or has already published are skipped. A
+// claim whose process is gone (same host) or that is --lease seconds old is
+// taken over. Once no worker is left, running the command once more is a
+// warm pass that assembles the canonical results file from the cache. See
+// the README's "Distributed sweeps" section.
 //
 // Exit codes (workers and spool scripts key retry decisions off these):
-//   0  success (including a --shard no-op on an already-complete shard)
-//   1  runtime failure — a cell failed, results/claim I/O failed, the shard
-//      was busy or reassigned mid-run; the checkpoint is intact, retryable
+//   0  success
+//   1  runtime failure — a cell failed or results I/O failed, or cells
+//      were left to other workers; the checkpoint is intact, retryable
 //   2  usage error — bad flags; nothing was read or written
 //   3  manifest failure — the file named in the message is unreadable,
 //      unparsable or invalid; retrying cannot succeed
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "fabric/merger.h"
-#include "fabric/shard_plan.h"
-#include "fabric/worker.h"
 #include "protocol/protocol_json.h"
 #include "runner/cell_cache.h"
 #include "runner/cost_model.h"
@@ -73,24 +73,28 @@ double telemetry_now_s() {
   std::fprintf(
       stderr,
       "usage: %s <manifest.json> [--results PATH] [--threads N]\n"
-      "       [--limit N] [--cache DIR|off] [--order NAME]\n"
+      "       [--limit N] [--cache DIR|off] [--lease SEC] [--order NAME]\n"
       "       [--fresh] [--progress] [--quiet]\n"
       "   or: %s <manifest.json> --dry-run\n"
-      "   or: %s <manifest.json> --shard I/K [--worker-id ID] [options]\n"
-      "   or: %s <manifest.json> --merge [--shards K] [--results PATH]\n"
       "   or: %s cache-stats <dir>\n"
       "   or: %s cache-gc <dir> --max-bytes N\n"
       "\n"
       "  --results PATH  results JSONL (default: manifest path with\n"
-      "                  .json replaced by .results.jsonl); with --merge,\n"
-      "                  where the merged file is written\n"
+      "                  .json replaced by .results.jsonl); give each\n"
+      "                  concurrent worker its own\n"
       "  --threads N     cap worker threads (default: all cores)\n"
       "  --limit N       stop after N newly completed cells; rerun\n"
       "                  to resume from the checkpoint\n"
       "  --cache DIR     content-addressed result cache: cells already in\n"
       "                  DIR skip execution, new cells are published; the\n"
       "                  results file is byte-identical either way\n"
-      "                  ('off', the default, disables caching)\n"
+      "                  ('off', the default, disables caching); workers\n"
+      "                  sharing DIR claim cells instead of duplicating\n"
+      "                  them\n"
+      "  --lease SEC     with --cache: a cell claim this old is stale and\n"
+      "                  is taken over (default 300; 0 takes over every\n"
+      "                  claim). Same-host claims of dead processes are\n"
+      "                  taken over at once\n"
       "  --order NAME    submission order for pending cells: expansion\n"
       "                  (default) or cost (longest-expected-first per the\n"
       "                  calibrated cost model; same results, smaller\n"
@@ -100,21 +104,15 @@ double telemetry_now_s() {
       "  --quiet         suppress the completion summary\n"
       "  --dry-run       parse + validate the manifest, print the cell\n"
       "                  count and axes, execute nothing\n"
-      "  --shard I/K     run only shard I (0-based) of a K-way split,\n"
-      "                  claiming <manifest>.fabric/shard-I-of-K under a\n"
-      "                  heartbeat lease\n"
-      "  --worker-id ID  id recorded in the shard claim (default pid-<pid>)\n"
-      "  --merge         validate + concatenate all shard files into the\n"
-      "                  canonical results file\n"
-      "  --shards K      shard count for --merge when no plan.json exists\n"
       "  cache-stats     print entry count, bytes and per-protocol\n"
       "                  breakdown of a cache directory\n"
       "  cache-gc        delete oldest entries until the cache directory\n"
       "                  is within --max-bytes\n"
       "\n"
-      "exit codes: 0 ok, 1 runtime failure (retryable), 2 usage,\n"
-      "            3 manifest parse/validate failure (fatal)\n",
-      argv0, argv0, argv0, argv0, argv0, argv0);
+      "exit codes: 0 ok, 1 runtime failure or cells left to other\n"
+      "            workers (retryable), 2 usage, 3 manifest\n"
+      "            parse/validate failure (fatal)\n",
+      argv0, argv0, argv0, argv0);
   std::exit(kExitUsage);
 }
 
@@ -130,16 +128,6 @@ bool parse_size(const char* text, std::size_t& out) {
   if (*end != '\0' || errno == ERANGE) return false;
   out = static_cast<std::size_t>(v);
   return static_cast<unsigned long long>(out) == v;  // 32-bit size_t
-}
-
-/// "I/K" with 0 <= I < K.
-bool parse_shard(const char* text, std::size_t& shard, std::size_t& count) {
-  const char* slash = std::strchr(text, '/');
-  if (slash == nullptr) return false;
-  const std::string left(text, slash);
-  if (!parse_size(left.c_str(), shard) || !parse_size(slash + 1, count))
-    return false;
-  return count > 0 && shard < count;
 }
 
 std::string join_doubles(const std::vector<double>& values) {
@@ -264,20 +252,17 @@ int main(int argc, char** argv) {
 
   std::string manifest_path;
   std::string results_path;
-  std::string worker_id;
   std::string cache_dir;  // empty = caching off
   bool cost_order = false;
   bool order_set = false;
   std::size_t threads = 0;
   std::size_t limit = 0;
-  std::size_t shard = 0;
-  std::size_t shard_count = 0;  // 0: not sharded
-  std::size_t merge_shards = 0;
+  std::size_t lease = runner::kDefaultClaimLeaseSeconds;
+  bool lease_set = false;
   bool fresh = false;
   bool progress = false;
   bool quiet = false;
   bool dry_run = false;
-  bool merge = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -291,13 +276,12 @@ int main(int argc, char** argv) {
       if (!parse_size(value(), threads)) usage(argv[0]);
     } else if (std::strcmp(arg, "--limit") == 0) {
       if (!parse_size(value(), limit)) usage(argv[0]);
-    } else if (std::strcmp(arg, "--shard") == 0) {
-      if (!parse_shard(value(), shard, shard_count)) usage(argv[0]);
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      if (!parse_size(value(), merge_shards) || merge_shards == 0)
+    } else if (std::strcmp(arg, "--lease") == 0) {
+      if (!parse_size(value(), lease) ||
+          lease > static_cast<std::size_t>(
+                      std::numeric_limits<std::int64_t>::max()))
         usage(argv[0]);
-    } else if (std::strcmp(arg, "--worker-id") == 0) {
-      worker_id = value();
+      lease_set = true;
     } else if (std::strcmp(arg, "--cache") == 0) {
       cache_dir = value();
       if (cache_dir.empty()) usage(argv[0]);
@@ -319,8 +303,6 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (std::strcmp(arg, "--dry-run") == 0) {
       dry_run = true;
-    } else if (std::strcmp(arg, "--merge") == 0) {
-      merge = true;
     } else if (arg[0] == '-') {
       usage(argv[0]);
     } else if (manifest_path.empty()) {
@@ -330,19 +312,13 @@ int main(int argc, char** argv) {
     }
   }
   if (manifest_path.empty()) usage(argv[0]);
-  const bool sharded = shard_count > 0;
-  // The four modes are mutually exclusive, and per-mode flags do not mix:
-  // --fresh/--results target the whole-sweep results file, which a shard
-  // does not own, and --merge executes nothing.
-  if ((dry_run ? 1 : 0) + (sharded ? 1 : 0) + (merge ? 1 : 0) > 1)
-    usage(argv[0]);
-  if (sharded && (fresh || !results_path.empty())) usage(argv[0]);
-  if (merge && (fresh || limit > 0 || !cache_dir.empty() || order_set))
-    usage(argv[0]);
+  // --dry-run executes nothing, and a lease only means something to a
+  // cache's claims.
   if (dry_run && (fresh || limit > 0 || !results_path.empty() ||
-                  !cache_dir.empty() || order_set))
+                  !cache_dir.empty() || order_set || lease_set))
     usage(argv[0]);
-  if (results_path.empty() && !sharded)
+  if (lease_set && cache_dir.empty()) usage(argv[0]);
+  if (results_path.empty())
     results_path = runner::SweepSession::default_results_path(manifest_path);
 
   // Stage 1 — everything that can only fail because of the manifest file
@@ -365,62 +341,13 @@ int main(int argc, char** argv) {
   // Stage 2 — execution. Failures here leave a valid checkpoint behind and
   // are retryable: exit 1, offender named.
   try {
-    if (merge) {
-      const fabric::Merger::Report report =
-          merge_shards > 0
-              ? fabric::Merger::merge(manifest_path, merge_shards,
-                                      results_path)
-              : fabric::Merger::merge(manifest_path, results_path);
-      if (!quiet)
-        std::printf("merged %zu shards, %zu cells -> %s\n",
-                    report.shard_count, report.cells,
-                    report.merged_path.c_str());
-      return kExitOk;
-    }
-
-    if (sharded) {
-      fabric::Worker::Options options;
-      options.worker_id = worker_id;
-      options.num_threads = threads;
-      options.limit = limit;
-      options.cache_dir = cache_dir;
-      if (progress) {
-        options.on_cell_done = [](const runner::ScenarioProgress& p) {
-          std::fprintf(stderr, "[%zu/%zu] cell %zu %s\n", p.done, p.total,
-                       p.index, p.scenario->name.c_str());
-        };
-      }
-      fabric::Worker worker(manifest_path, shard, shard_count, options);
-      const fabric::Worker::Outcome outcome = worker.run();
-      if (!quiet) {
-        const char* status =
-            outcome.status == fabric::Worker::Outcome::Status::kShardBusy
-                ? "busy (another worker holds the claim)"
-            : outcome.status ==
-                    fabric::Worker::Outcome::Status::kAlreadyComplete
-                ? "already complete"
-                : (outcome.shard_complete ? "complete" : "checkpointed");
-        std::printf(
-            "shard %zu/%zu of '%s': %s — %zu/%zu cells (%zu resumed, "
-            "%zu run)\n",
-            shard, shard_count, manifest.spec.name().c_str(), status,
-            outcome.resumed + outcome.ran, outcome.shard_cells,
-            outcome.resumed, outcome.ran);
-        std::printf("results: %s\n", outcome.results_path.c_str());
-      }
-      // A busy shard ran nothing: report it as retryable so spool scripts
-      // distinguish "try again later" from a completed shard.
-      return outcome.status == fabric::Worker::Outcome::Status::kShardBusy
-                 ? kExitRuntime
-                 : kExitOk;
-    }
-
     if (fresh) std::remove(results_path.c_str());
 
     runner::SweepSession::Options options;
     options.num_threads = threads;
     if (!cache_dir.empty())
-      options.cache = std::make_shared<runner::CellCache>(cache_dir);
+      options.cache = std::make_shared<runner::CellCache>(
+          cache_dir, runner::kCacheEpoch, static_cast<std::int64_t>(lease));
     options.order = cost_order ? runner::SweepSession::SubmitOrder::kCost
                                : runner::SweepSession::SubmitOrder::kExpansion;
     if (progress) {
@@ -492,10 +419,18 @@ int main(int argc, char** argv) {
             "mean node power %.6g\n",
             all.summary.groupput.mean(), all.summary.groupput.stddev(),
             all.summary.anyput.mean(), all.summary.node_power.mean());
-      } else {
+      } else if (session.deferred_cells() == 0) {
         std::printf("checkpointed early (--limit %zu); rerun to resume\n",
                     limit);
       }
+    }
+    if (session.deferred_cells() > 0) {
+      std::fprintf(stderr,
+                   "econcast_sweep: %zu cell(s) left to other workers in "
+                   "cache '%s'; rerun once they finish to assemble the "
+                   "results\n",
+                   session.deferred_cells(), session.cache()->dir().c_str());
+      return kExitRuntime;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "econcast_sweep: manifest '%s': %s\n",

@@ -81,7 +81,7 @@ const std::vector<RuleSpec>& rule_specs() {
        "the executor deliberately keeps tasks thread-agnostic",
        {{"thread_local", MatchKind::kExact}}},
       {"raw-thread",
-       "raw std::thread/std::async/pthread_* outside src/exec and src/fabric",
+       "raw std::thread/std::async/pthread_* outside src/exec",
        "ad-hoc threads bypass the executor's determinism contract "
        "(serialized progress, index-confined writes); submit batches to "
        "exec::Executor instead",

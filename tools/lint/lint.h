@@ -1,12 +1,12 @@
 // Self-hosted determinism lint for the EconCast tree.
 //
-// Every PR since the seed stakes correctness on one invariant: the printed
-// paper tables are byte-identical across thread counts and shard/merge
-// topologies. That invariant dies silently the
+// The repository stakes correctness on one invariant: the printed paper
+// tables are byte-identical across thread counts and across the processes
+// of a distributed sweep. That invariant dies silently the
 // moment a source file reaches for an ambient-nondeterministic primitive —
 // wall-clock time, an OS-seeded RNG, hash-table iteration order, pointer
 // values as sort keys, hidden thread_local state, or ad-hoc threads outside
-// the executor/fabric layers. econcast_lint makes the ban machine-checked at
+// the executor. econcast_lint makes the ban machine-checked at
 // build time: a dependency-free token-level scanner (strings and comments
 // stripped first, so mentioning a banned name in a docstring is fine) walks
 // the source directories and reports every use of a banned construct that is
@@ -85,7 +85,7 @@ struct RuleConfig {
   bool enabled = true;
   Severity severity = Severity::kError;
   /// Path prefixes exempt from this rule. "bench/" matches everything under
-  /// bench; "src/fabric/claim.cpp" matches exactly that file. Matched
+  /// bench; "src/runner/cell_cache.cpp" matches exactly that file. Matched
   /// against the normalized scan path, so run the tool from the repo root.
   std::vector<std::string> allow;
 };
