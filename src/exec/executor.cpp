@@ -124,10 +124,7 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   }
 
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
-  std::size_t participants = workers_.size() + 1;  // workers + this thread
-  if (max_parallelism > 0)
-    participants = std::min(participants, max_parallelism);
-  participants = std::min(participants, n);
+  const std::size_t participants = this->participants(n, max_parallelism);
   if (participants <= 1) {
     run_serial(n, fn, progress);
     return;
@@ -175,6 +172,14 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   }
 
   if (batch.first_error) std::rethrow_exception(batch.first_error);
+}
+
+std::size_t Executor::participants(std::size_t n,
+                                   std::size_t max_parallelism) const noexcept {
+  if (on_executor_thread()) return std::min<std::size_t>(n, 1);
+  std::size_t p = workers_.size() + 1;  // workers + the submitting thread
+  if (max_parallelism > 0) p = std::min(p, max_parallelism);
+  return std::min(p, n);
 }
 
 bool Executor::pop_own(Batch& b, std::size_t slot, std::size_t& index) {

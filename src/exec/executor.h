@@ -72,6 +72,14 @@ class Executor {
                     std::size_t max_parallelism = 0,
                     const ProgressFn& progress = nullptr);
 
+  /// How many participants a parallel_for(n, ..., max_parallelism) called
+  /// from this thread seeds: min(workers + 1, max_parallelism, n), or at
+  /// most 1 for a nested call. parallel_for seeds participant c with the
+  /// c-th of that many contiguous chunks (sizes n/p, +1 for the first n%p),
+  /// which runner::cost_submit_order deals its LPT lists into.
+  std::size_t participants(std::size_t n,
+                           std::size_t max_parallelism) const noexcept;
+
   /// The process-wide shared executor (hardware_concurrency workers),
   /// constructed on first use and alive until exit. This is what
   /// runner::ScenarioRunner submits to by default, so every batch in the
@@ -85,7 +93,8 @@ class Executor {
     std::size_t end = 0;
   };
 
-  /// One participant's deque. The owner takes single indices from the back;
+  /// One participant's deque. The owner takes single indices from its back
+  /// range, lowest index first, so a seeded chunk runs in submission order;
   /// thieves split off the front half of the front range. A plain mutex per
   /// deque keeps this obviously correct — the tasks this project runs are
   /// simulations lasting milliseconds to hours, so queue overhead is noise.

@@ -213,7 +213,7 @@ void CellCache::publish(const Scenario& cell, std::uint64_t seed,
 
   Object cost;
   cost.set("protocol", cell.protocol.name)
-      .set("units", CostModel::estimate_units(cell));
+      .set("units", estimate_units(cell));
   Object entry;
   entry.set("format", kEntryFormat)
       .set("epoch", epoch_)

@@ -27,8 +27,9 @@
 // key value-for-value and the stored result to decode and re-serialize to
 // the identical bytes. Anything else — torn write, truncation, tampering,
 // epoch or key mismatch, hash collision — is a recorded rejection and the
-// cell recomputes. `cost`/`wall_ms` feed the cost model's calibration
-// (cost_model.h).
+// cell recomputes. `cost` (the protocol and its cost_model.h units) and
+// `wall_ms` are telemetry that probes ignore; cache-stats totals entries
+// per protocol and the recorded wall clock.
 //
 // Concurrency. One CellCache may be used from many threads at once: a
 // SweepSession probes its pending cells in parallel on the executor, and

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <variant>
 
-#include "util/json.h"
-
 namespace econcast::runner {
 
-namespace fs = std::filesystem;
-
 namespace {
-
-/// Fallback ms-per-unit when nothing is calibrated, sized so an N=100,
-/// 1e6-packet-time EconCast cell lands in the seconds range — the right
-/// order of magnitude for a Release build on one core.
-constexpr double kDefaultMsPerUnit = 2e-7;
 
 struct UnitVisitor {
   double n;  // node count of the cell
@@ -27,7 +16,7 @@ struct UnitVisitor {
     // Events scale with N × duration; per-event work carries an extra
     // N-dependent component (rate-memo row refills, toggle resampling over
     // neighborhoods), so the aggregate is superlinear. N^1.5 tracks the
-    // measured N=25..256 profile well enough for ordering and balancing.
+    // measured N=25..256 profile well enough for ordering.
     return n * std::sqrt(n) * p.config.duration;
   }
   double operator()(const protocol::TestbedParams& p) const {
@@ -54,70 +43,19 @@ struct UnitVisitor {
 
 }  // namespace
 
-double CostModel::estimate_units(const Scenario& cell) {
+double estimate_units(const Scenario& cell) {
   const double n = static_cast<double>(cell.nodes.size());
   return std::visit(UnitVisitor{n}, cell.protocol.params);
 }
 
-double CostModel::estimate_ms(const Scenario& cell) const {
-  const double units = estimate_units(cell);
-  const auto it = scales_.find(cell.protocol.name);
-  if (it != scales_.end()) return units * it->second;
-  if (!scales_.empty()) {
-    // Unobserved protocol: borrow the mean observed scale rather than the
-    // compile-time default — same machine, same build.
-    double sum = 0.0;
-    for (const auto& [name, scale] : scales_) sum += scale;
-    return units * (sum / static_cast<double>(scales_.size()));
-  }
-  return units * kDefaultMsPerUnit;
-}
-
-void CostModel::calibrate_from_cache(const std::string& cache_dir) {
-  std::error_code ec;
-  if (!fs::is_directory(cache_dir, ec)) return;
-
-  // Accumulate (predicted units, observed ms) per protocol from the "cost"
-  // metadata each cache entry carries; the ratio of the sums is the scale.
-  // A broken entry calibrates nothing — the cache itself re-validates
-  // entries on probe, calibration just skips them.
-  std::map<std::string, std::pair<double, double>> sums;  // units, ms
-  for (fs::recursive_directory_iterator it(cache_dir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (!it->is_regular_file() || it->path().extension() != ".jsonl")
-      continue;
-    std::ifstream in(it->path(), std::ios::binary);
-    std::string line;
-    if (!in || !std::getline(in, line)) continue;
-    try {
-      const util::json::Value entry = util::json::parse(line);
-      const util::json::Value& cost = entry.at("cost");
-      const std::string& name = cost.at("protocol").as_string();
-      const double units = cost.at("units").as_number();
-      const double ms = entry.at("wall_ms").as_number();
-      if (units > 0.0 && ms >= 0.0 && std::isfinite(units) &&
-          std::isfinite(ms)) {
-        sums[name].first += units;
-        sums[name].second += ms;
-      }
-    } catch (const std::exception&) {
-      // Foreign or torn file: not a calibration sample.
-    }
-  }
-  for (const auto& [name, pair] : sums)
-    if (pair.first > 0.0 && pair.second > 0.0)
-      scales_[name] = pair.second / pair.first;
-}
-
 std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch,
-                                           const CostModel& model,
                                            std::size_t participants) {
   const std::size_t n = batch.size();
   std::vector<double> cost(n);
-  for (std::size_t i = 0; i < n; ++i) cost[i] = model.estimate_ms(batch[i]);
+  for (std::size_t i = 0; i < n; ++i) cost[i] = estimate_units(batch[i]);
 
-  // Descending cost, ascending index on ties: deterministic for a given
-  // batch regardless of how the model was calibrated.
+  // Descending units, ascending index on ties: deterministic for a given
+  // batch.
   std::vector<std::size_t> by_cost(n);
   std::iota(by_cost.begin(), by_cost.end(), 0);
   std::stable_sort(by_cost.begin(), by_cost.end(),
@@ -126,13 +64,13 @@ std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch,
                      return a < b;
                    });
 
-  std::size_t p = participants == 0 ? 1 : std::min(participants, n);
-  if (p <= 1 || n == 0) return by_cost;
+  const std::size_t p = std::min(participants, n);
+  if (p <= 1) return by_cost;
 
   // Round-robin deal into p lists, then concatenate. The executor seeds
   // participant c with the contiguous chunk of submit indices whose sizes
-  // are n/p (+1 for the first n%p participants) and pops it in ascending
-  // order — exactly the chunk sizes the deal produces — so participant c's
+  // are n/p (+1 for the first n%p participants) and takes it lowest index
+  // first — exactly the chunk sizes the deal produces — so participant c's
   // first task is the c-th heaviest cell and its queue descends from there.
   std::vector<std::vector<std::size_t>> chunks(p);
   for (std::size_t k = 0; k < n; ++k) chunks[k % p].push_back(by_cost[k]);

@@ -1,73 +1,49 @@
-// Per-cell wall-clock cost estimation and cost-aware submission order.
+// Per-cell cost estimation and the sweep's submission order.
 //
 // A sweep's cells are wildly uneven: an analytic bound cell returns in
 // microseconds while an N=256 EconCast simulation runs for seconds, and the
 // expansion order (protocol → mode → N → ...) puts the expensive large-N
-// cells at the tail. Submitting in expansion order therefore ends every
-// parallel sweep with a straggler phase where most workers idle behind the
-// last big cells. The classic fix is LPT (longest processing time first)
-// scheduling, which is legal here because runner::SweepSession already
-// reorder-buffers out-of-order completions into index-ordered bytes — the
-// submission order is invisible in the results file.
+// cells at the tail. Submitting in expansion order would end every parallel
+// sweep with a straggler phase where most workers idle behind the last big
+// cells. runner::SweepSession therefore always submits LPT (longest
+// processing time first), which is legal because it reorder-buffers
+// out-of-order completions into index-ordered bytes — the submission order
+// is invisible in the results file.
 //
 // The model is deliberately coarse: a per-protocol polynomial in the node
-// count times the protocol's duration-like knob ("units"), optionally
-// scaled to milliseconds per protocol by calibration against observed cell
-// wall clocks persisted in the result cache (cell_cache.h stores wall_ms
-// and the predicted units with every entry). Ordering and load balancing
-// only need costs that are *relatively* right — a mis-estimated constant
-// factor shifts ETAs, never results.
+// count times the protocol's duration-like knob ("units"). Ordering only
+// needs costs that are *relatively* right within a sweep, and a pure
+// function of the spec keeps the order independent of the machine and of
+// whatever the cache holds. Cache entries record the units next to the
+// observed wall_ms (cell_cache.h), so how well they track can be read off a
+// populated cache.
 #ifndef ECONCAST_RUNNER_COST_MODEL_H
 #define ECONCAST_RUNNER_COST_MODEL_H
 
 #include <cstddef>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "runner/scenario_runner.h"
 
 namespace econcast::runner {
 
-class CostModel {
- public:
-  /// Protocol-class polynomial, in arbitrary "units" comparable across
-  /// cells: simulated protocols scale with node count × simulated horizon
-  /// (EconCast superlinearly in N — its listener dynamics and rate-memo
-  /// refills grow with degree), analytic protocols with N alone. Pure
-  /// function of the scenario spec; never consults the clock.
-  static double estimate_units(const Scenario& cell);
-
-  /// units × the protocol's calibrated ms-per-unit scale. Protocols with no
-  /// observation use the average scale of the observed ones, or a built-in
-  /// default when nothing is calibrated — coarse, but ETA-grade.
-  double estimate_ms(const Scenario& cell) const;
-
-  /// Refines the per-protocol scales from the (units, wall_ms) pairs the
-  /// cache entries carry: scale = total observed ms / total predicted
-  /// units, per protocol name. Unreadable or foreign files are skipped; an
-  /// empty or missing directory leaves the model uncalibrated.
-  void calibrate_from_cache(const std::string& cache_dir);
-
-  /// ms-per-unit scales by protocol name (exposed for tests/diagnostics).
-  const std::map<std::string, double>& scales() const noexcept {
-    return scales_;
-  }
-
- private:
-  std::map<std::string, double> scales_;
-};
+/// Protocol-class polynomial, in arbitrary "units" comparable across cells:
+/// simulated protocols scale with node count × simulated horizon (EconCast
+/// superlinearly in N — its listener dynamics and rate-memo refills grow
+/// with degree), analytic protocols with N alone. Pure function of the
+/// scenario spec; never consults the clock.
+double estimate_units(const Scenario& cell);
 
 /// The LPT submission permutation for a pending batch: submit_order[k] is
 /// the batch index to run as the k-th submitted task. Cells are sorted by
-/// descending estimated cost (ties broken by ascending index, so the order
-/// is deterministic) and then dealt round-robin across `participants`
-/// contiguous chunks — matching exec::Executor's chunked seeding, so every
-/// participant starts on its own heaviest cell and steals hit the heaviest
-/// remaining work. participants == 0 or 1 degenerates to plain
-/// descending-cost order.
+/// descending units (ties broken by ascending index, so the order is
+/// deterministic) and then dealt round-robin across `participants`
+/// contiguous chunks — the chunks exec::Executor::parallel_for seeds, so
+/// every participant starts on its own heaviest cell and steals hit the
+/// heaviest remaining work. Pass exec::Executor::participants (or
+/// ScenarioRunner::participants) for the batch; 0 or 1 degenerates to plain
+/// descending-units order.
 std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch,
-                                           const CostModel& model,
                                            std::size_t participants);
 
 }  // namespace econcast::runner

@@ -30,11 +30,17 @@ std::size_t ScenarioRunner::effective_threads() const noexcept {
   return hw > 0 ? hw : 1;
 }
 
+exec::Executor& ScenarioRunner::executor() const {
+  return options_.executor ? *options_.executor : exec::Executor::shared();
+}
+
+std::size_t ScenarioRunner::participants(std::size_t n) const {
+  return executor().participants(n, effective_threads());
+}
+
 void ScenarioRunner::for_each(std::size_t n,
                               const std::function<void(std::size_t)>& fn) const {
-  exec::Executor& executor =
-      options_.executor ? *options_.executor : exec::Executor::shared();
-  executor.parallel_for(n, fn, effective_threads());
+  executor().parallel_for(n, fn, effective_threads());
 }
 
 Scenario econcast_scenario(std::string name, model::NodeSet nodes,
@@ -120,7 +126,7 @@ BatchResult ScenarioRunner::run_with_seeds(
       return;
     }
     // NOLINT-DETERMINISM(wall-clock): telemetry only — the measured wall
-    // clock feeds cost-model calibration and progress ETAs, never results.
+    // clock feeds cache metadata and progress output, never results.
     const auto started = std::chrono::steady_clock::now();
     try {
       out.results[i] = protocols[i]->make_sim(s.nodes, s.topology,
@@ -152,9 +158,7 @@ BatchResult ScenarioRunner::run_with_seeds(
     };
   }
 
-  exec::Executor& executor =
-      options_.executor ? *options_.executor : exec::Executor::shared();
-  executor.parallel_for(batch.size(), task, effective_threads(), progress);
+  executor().parallel_for(batch.size(), task, effective_threads(), progress);
 
   if (std::find(skipped.begin(), skipped.end(), 1) == skipped.end()) {
     out.summary = summarize(out.results);

@@ -85,8 +85,8 @@ struct ScenarioProgress {
   const Scenario* scenario = nullptr;
   const protocol::SimResult* result = nullptr;
   /// Observed wall clock of this scenario's run, milliseconds. Telemetry
-  /// only (cost-model calibration, ETA display, cache metadata) — it never
-  /// feeds result bytes, which stay a pure function of the spec and seed.
+  /// only (progress display, cache metadata) — it never feeds result bytes,
+  /// which stay a pure function of the spec and seed.
   double wall_ms = 0.0;
 };
 
@@ -180,7 +180,7 @@ class ScenarioRunner {
   /// a permutation of [0, batch size), or empty for submission in index
   /// order. Results, summaries and every ScenarioProgress field stay keyed
   /// by the original batch index, so the submission order can never change
-  /// any output — it is purely a makespan knob (see cost_model.h, which
+  /// any output — it only changes makespan (see cost_model.h, which
   /// builds LPT permutations for it). Throws std::invalid_argument when
   /// seeds/submit_order have the wrong size or submit_order is not a
   /// permutation.
@@ -197,9 +197,16 @@ class ScenarioRunner {
   void for_each(std::size_t n,
                 const std::function<void(std::size_t)>& fn) const;
 
-  std::size_t effective_threads() const noexcept;
+  /// How many participants a batch of n scenarios is spread over: the
+  /// executor's exec::Executor::participants under this runner's thread
+  /// cap. SweepSession deals its LPT submission order across this many
+  /// chunks (cost_model.h).
+  std::size_t participants(std::size_t n) const;
 
  private:
+  exec::Executor& executor() const;
+  std::size_t effective_threads() const noexcept;
+
   RunnerOptions options_;
 };
 

@@ -255,12 +255,8 @@ std::size_t SweepSession::run(std::size_t limit) {
     };
 
     const ScenarioRunner runner(runner_options);
-    std::vector<std::size_t> order;  // empty = submission in index order
-    if (options_.order == SubmitOrder::kCost && pending.size() > 1) {
-      CostModel model;
-      if (options_.cache) model.calibrate_from_cache(options_.cache->dir());
-      order = cost_submit_order(pending, model, runner.effective_threads());
-    }
+    const std::vector<std::size_t> order =
+        cost_submit_order(pending, runner.participants(pending.size()));
     try {
       runner.run_with_seeds(pending, seeds, order);
     } catch (...) {

@@ -21,7 +21,7 @@
 // so a crash never loses more than the cells still in flight and no cache
 // or encoding work waits behind the hook's lock.
 //
-// Two throughput layers sit on top (both output-invisible by construction):
+// Three throughput layers sit on top (all output-invisible by construction):
 //  - A content-addressed CellCache (cell_cache.h). Before submitting the
 //    pending cells, the session probes every cell; hits are fed straight
 //    into the reorder buffer and only misses run. Completed misses are
@@ -39,11 +39,11 @@
 //    manifest against one cache directory; once none holds a claim, one
 //    more run of the same command is a warm pass that writes the canonical
 //    results file.
-//  - Cost-model submission order (cost_model.h). With SubmitOrder::kCost the
-//    pending misses are submitted longest-expected-first (LPT), shrinking
-//    the makespan tail where one heavy cell lands last on a busy pool. The
-//    reorder buffer already writes the file in index order no matter what
-//    order cells complete in, which is what makes reordering legal.
+//  - Longest-expected-first (LPT) submission (cost_model.h). The pending
+//    misses are always submitted in descending cost-model units, dealt
+//    across the executor's participants, so no heavy cell lands last on a
+//    busy pool. The reorder buffer writes the file in index order no matter
+//    what order cells complete in, which is what makes reordering legal.
 #ifndef ECONCAST_RUNNER_SWEEP_SESSION_H
 #define ECONCAST_RUNNER_SWEEP_SESSION_H
 
@@ -69,13 +69,6 @@ std::uint64_t manifest_cell_seed(const SweepManifest& manifest,
 
 class SweepSession {
  public:
-  /// Order the pending cells are handed to the executor in. Either way the
-  /// results file is written in cell-index order — this is a makespan knob.
-  enum class SubmitOrder {
-    kExpansion,  // manifest expansion order (index order)
-    kCost,       // longest-expected-first per the calibrated cost model
-  };
-
   struct Options {
     /// Thread cap for the cell batches; 0 = hardware_concurrency.
     std::size_t num_threads = 0;
@@ -93,10 +86,6 @@ class SweepSession {
     /// sessions — CellCache keeps per-instance atomic stats, and the on-disk
     /// directory is multi-process safe.
     std::shared_ptr<CellCache> cache;
-    /// See SubmitOrder. kCost calibrates a CostModel from the cache
-    /// directory (when a cache is attached) so the ordering improves as
-    /// observed wall clocks accumulate.
-    SubmitOrder order = SubmitOrder::kExpansion;
   };
 
   /// Opens a session: expands the manifest, loads the completed prefix from

@@ -2,25 +2,31 @@
 // (hit/miss/rejected/publish accounting, tamper and truncation rejection,
 // epoch isolation, concurrent publish, gc/scan), its per-cell claims
 // (exclusive acquire across threads, staleness, malformed claim files), the
-// CostModel and its LPT submission order, ScenarioRunner::run_with_seeds
-// permutation validation and skip hook, and the end-to-end guarantee the
-// whole layer hangs off: a sweep run with the cache off, cold or warm — and
-// in either submission order — produces byte-identical results files, with
-// the warm run executing zero cells.
+// cost model's units and LPT submission order (and its deal across the
+// executor's participants), ScenarioRunner::run_with_seeds permutation
+// validation and skip hook, and the end-to-end guarantee the whole layer
+// hangs off: a sweep run with the cache off, cold or warm — on any number of
+// participants — produces byte-identical results files, with the warm run
+// executing zero cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/executor.h"
 #include "protocol/protocol.h"
 #include "protocol/protocol_json.h"
 #include "runner/cell_cache.h"
@@ -408,13 +414,18 @@ TEST(CellCache, OffColdWarmRunsAreByteIdenticalAndWarmExecutesNothing) {
   EXPECT_EQ(reference, slurp(dir / "cold.jsonl"));
   EXPECT_EQ(reference, slurp(dir / "warm.jsonl"));
 
-  // Cost-ordered submission is equally invisible in the bytes, warm or not.
-  options.cache = std::make_shared<runner::CellCache>(cache_dir);
-  options.order = runner::SweepSession::SubmitOrder::kCost;
+  // A cold run into a fresh cache on three participants, which deal the 16
+  // LPT-ordered cells unevenly (6/5/5), writes the same bytes.
+  options.cache = std::make_shared<runner::CellCache>(
+      (dir / "fresh-cache").string());
+  options.executor = std::make_shared<exec::Executor>(3);
+  options.num_threads = 3;
   options.on_cell_done = nullptr;
-  runner::SweepSession cost(manifest, (dir / "cost.jsonl").string(), options);
-  cost.run();
-  EXPECT_EQ(reference, slurp(dir / "cost.jsonl"));
+  runner::SweepSession dealt(manifest, (dir / "dealt.jsonl").string(),
+                             options);
+  EXPECT_EQ(dealt.run(), 16u);
+  EXPECT_EQ(options.cache->stats().misses, 16u);
+  EXPECT_EQ(reference, slurp(dir / "dealt.jsonl"));
 }
 
 TEST(CellCache, SabotagedEntriesAreRejectedAndRecomputed) {
@@ -496,7 +507,7 @@ TEST(CellCache, ReadOnlyCacheDirectoryDegradesToRecompute) {
 TEST(CostModel, UnitsArePositiveAndGrowWithWork) {
   const auto cells = small_manifest().spec.expand();
   for (const runner::Scenario& cell : cells)
-    EXPECT_GT(runner::CostModel::estimate_units(cell), 0.0) << cell.name;
+    EXPECT_GT(runner::estimate_units(cell), 0.0) << cell.name;
 
   // More nodes must cost more units for the same protocol family, and a
   // simulated protocol must dwarf an analytic bound at equal N.
@@ -511,64 +522,83 @@ TEST(CostModel, UnitsArePositiveAndGrowWithWork) {
   const runner::Scenario bound3 = {
       "b3", three, model::Topology::clique(3),
       protocol::p4_spec(model::Mode::kGroupput, 0.5)};
-  EXPECT_GT(runner::CostModel::estimate_units(sim8),
-            runner::CostModel::estimate_units(sim3));
-  EXPECT_GT(runner::CostModel::estimate_units(sim3),
-            runner::CostModel::estimate_units(bound3));
-
-  // Uncalibrated ms estimates preserve the units ordering.
-  const runner::CostModel model;
-  EXPECT_GT(model.estimate_ms(sim8), model.estimate_ms(sim3));
+  EXPECT_GT(runner::estimate_units(sim8), runner::estimate_units(sim3));
+  EXPECT_GT(runner::estimate_units(sim3), runner::estimate_units(bound3));
 }
 
-TEST(CostModel, CalibrationLearnsScalesFromCacheEntries) {
-  const ScopedTempDir temp;
-  const fs::path& dir = temp.path();
-  const std::string cache_dir = (dir / "cache").string();
+TEST(CostModel, LptOrderIsADeterministicPermutationByUnits) {
   const auto cells = small_manifest().spec.expand();
-  runner::CellCache cache(cache_dir);
-  const protocol::SimResult result;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    cache.publish(cells[i], 42 + i, result, 3.0);
-
-  runner::CostModel model;
-  model.calibrate_from_cache(cache_dir);
-  EXPECT_FALSE(model.scales().empty());
-  for (const auto& [name, scale] : model.scales())
-    EXPECT_GT(scale, 0.0) << name;
-
-  // Missing directory: calibration is a no-op, not an error.
-  runner::CostModel blank;
-  blank.calibrate_from_cache((dir / "nope").string());
-  EXPECT_TRUE(blank.scales().empty());
-}
-
-TEST(CostModel, SubmitOrderIsADeterministicLptPermutation) {
-  const auto cells = small_manifest().spec.expand();
-  const runner::CostModel model;
 
   for (const std::size_t participants : {0u, 1u, 3u, 4u, 7u}) {
     const std::vector<std::size_t> order =
-        runner::cost_submit_order(cells, model, participants);
+        runner::cost_submit_order(cells, participants);
     ASSERT_EQ(order.size(), cells.size());
     std::vector<std::size_t> sorted = order;
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i)
       EXPECT_EQ(sorted[i], i) << "participants=" << participants;
-    EXPECT_EQ(order,
-              runner::cost_submit_order(cells, model, participants));
+    EXPECT_EQ(order, runner::cost_submit_order(cells, participants));
   }
 
-  // With one participant the order is exactly descending cost, ties by
+  // With one participant the order is exactly descending units, ties by
   // ascending index.
-  const std::vector<std::size_t> lpt =
-      runner::cost_submit_order(cells, model, 1);
+  const std::vector<std::size_t> lpt = runner::cost_submit_order(cells, 1);
   for (std::size_t k = 1; k < lpt.size(); ++k) {
-    const double prev = model.estimate_ms(cells[lpt[k - 1]]);
-    const double cur = model.estimate_ms(cells[lpt[k]]);
+    const double prev = runner::estimate_units(cells[lpt[k - 1]]);
+    const double cur = runner::estimate_units(cells[lpt[k]]);
     EXPECT_TRUE(prev > cur || (prev == cur && lpt[k - 1] < lpt[k]))
         << "k=" << k;
   }
+}
+
+TEST(CostModel, DealHeadsEveryExecutorParticipantWithAHeavyCell) {
+  // Ten EconCast cliques, N = 3..12 in ascending order, so units are
+  // distinct and LPT reverses the batch: the two heaviest are N=12 (index
+  // 9) and N=11 (index 8).
+  proto::SimConfig cfg;
+  cfg.duration = 4e3;
+  std::vector<runner::Scenario> cells;
+  for (std::size_t n = 3; n <= 12; ++n)
+    cells.push_back({"clique", model::homogeneous(n, 10.0, 500.0, 500.0),
+                     model::Topology::clique(n),
+                     protocol::econcast_spec(cfg)});
+
+  // A runner capped at 8 threads on a one-worker pool spreads the batch
+  // over 2 participants (the worker and the submitting thread), so the
+  // deal has 2 chunks of 5, each headed by one of the two heaviest cells.
+  runner::RunnerOptions options;
+  options.num_threads = 8;
+  options.executor = std::make_shared<exec::Executor>(1);
+  ASSERT_EQ(runner::ScenarioRunner(options).participants(cells.size()), 2u);
+  const std::vector<std::size_t> order =
+      runner::cost_submit_order(cells, 2);
+  EXPECT_EQ(order[0], 9u);
+  EXPECT_EQ(order[5], 8u);
+
+  // And the executor really starts each participant on its chunk's head.
+  // Each participant's first cell waits until both have started, so
+  // neither can drain the other's chunk first; every cell is then skipped,
+  // so nothing is simulated.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> started;
+  std::vector<std::size_t> heads;
+  options.before_scenario = [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (started.insert(std::this_thread::get_id()).second) {
+      heads.push_back(i);
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(30),
+                  [&] { return heads.size() >= 2; });
+    }
+    return false;
+  };
+  const runner::ScenarioRunner runner(options);
+  runner.run_with_seeds(cells, std::vector<std::uint64_t>(cells.size(), 1),
+                        runner::cost_submit_order(
+                            cells, runner.participants(cells.size())));
+  std::sort(heads.begin(), heads.end());
+  EXPECT_EQ(heads, (std::vector<std::size_t>{8, 9}));
 }
 
 // ---------------------------------------------------------- run_with_seeds --

@@ -751,7 +751,6 @@ TEST(SweepSession, CachedRunsOnFourWorkersAreByteIdenticalWithExactStats) {
     fs::remove(options.cache->entry_path(options.cache->cell_key(batch[i], seed)));
   }
   options.cache = std::make_shared<runner::CellCache>(cache_dir);
-  options.order = runner::SweepSession::SubmitOrder::kCost;
   EXPECT_EQ(run_checked(manifest, dir / "half.jsonl", options), reference);
   expect_exact_stats(*options.cache, cells, cells / 2);
 }

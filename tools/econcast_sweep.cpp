@@ -2,7 +2,7 @@
 // checkpoint/resume, alone or as one of many workers sharing a cache.
 //
 //   econcast_sweep <manifest.json> [--results PATH] [--threads N]
-//                  [--limit N] [--cache DIR [--lease SEC]] [--order NAME]
+//                  [--limit N] [--cache DIR [--lease SEC]]
 //                  [--fresh] [--progress] [--quiet]
 //   econcast_sweep <manifest.json> --dry-run
 //   econcast_sweep cache-stats <dir>
@@ -14,6 +14,9 @@
 // only the remaining cells execute — the final file is byte-identical to an
 // uninterrupted run. --limit N checkpoints after N new cells and exits,
 // which is how CI exercises the kill/resume path deterministically.
+// Pending cells are always submitted longest-expected-first (LPT on the
+// cost model's units), which only shortens the run: the results file is
+// written in cell-index order whatever order cells finish in.
 //
 // Distributed sweeps: any number of processes, on any hosts, run the same
 // manifest with one shared --cache directory and a --results file each.
@@ -73,7 +76,7 @@ double telemetry_now_s() {
   std::fprintf(
       stderr,
       "usage: %s <manifest.json> [--results PATH] [--threads N]\n"
-      "       [--limit N] [--cache DIR|off] [--lease SEC] [--order NAME]\n"
+      "       [--limit N] [--cache DIR|off] [--lease SEC]\n"
       "       [--fresh] [--progress] [--quiet]\n"
       "   or: %s <manifest.json> --dry-run\n"
       "   or: %s cache-stats <dir>\n"
@@ -95,10 +98,6 @@ double telemetry_now_s() {
       "                  is taken over (default 300; 0 takes over every\n"
       "                  claim). Same-host claims of dead processes are\n"
       "                  taken over at once\n"
-      "  --order NAME    submission order for pending cells: expansion\n"
-      "                  (default) or cost (longest-expected-first per the\n"
-      "                  calibrated cost model; same results, smaller\n"
-      "                  makespan on skewed sweeps)\n"
       "  --fresh         discard an existing results file first\n"
       "  --progress      print a line per completed cell to stderr\n"
       "  --quiet         suppress the completion summary\n"
@@ -253,8 +252,6 @@ int main(int argc, char** argv) {
   std::string manifest_path;
   std::string results_path;
   std::string cache_dir;  // empty = caching off
-  bool cost_order = false;
-  bool order_set = false;
   std::size_t threads = 0;
   std::size_t limit = 0;
   std::size_t lease = runner::kDefaultClaimLeaseSeconds;
@@ -286,15 +283,6 @@ int main(int argc, char** argv) {
       cache_dir = value();
       if (cache_dir.empty()) usage(argv[0]);
       if (cache_dir == "off") cache_dir.clear();
-    } else if (std::strcmp(arg, "--order") == 0) {
-      const char* order = value();
-      if (std::strcmp(order, "cost") == 0)
-        cost_order = true;
-      else if (std::strcmp(order, "expansion") == 0)
-        cost_order = false;
-      else
-        usage(argv[0]);
-      order_set = true;
     } else if (std::strcmp(arg, "--fresh") == 0) {
       fresh = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
@@ -315,7 +303,7 @@ int main(int argc, char** argv) {
   // --dry-run executes nothing, and a lease only means something to a
   // cache's claims.
   if (dry_run && (fresh || limit > 0 || !results_path.empty() ||
-                  !cache_dir.empty() || order_set || lease_set))
+                  !cache_dir.empty() || lease_set))
     usage(argv[0]);
   if (lease_set && cache_dir.empty()) usage(argv[0]);
   if (results_path.empty())
@@ -348,8 +336,6 @@ int main(int argc, char** argv) {
     if (!cache_dir.empty())
       options.cache = std::make_shared<runner::CellCache>(
           cache_dir, runner::kCacheEpoch, static_cast<std::int64_t>(lease));
-    options.order = cost_order ? runner::SweepSession::SubmitOrder::kCost
-                               : runner::SweepSession::SubmitOrder::kExpansion;
     if (progress) {
       // Cost-model ETA: cells flush in index order, so after cell p.index
       // the completed work is exactly the expansion prefix [0, p.index] and
@@ -368,7 +354,7 @@ int main(int argc, char** argv) {
       eta->prefix.resize(cells.size() + 1, 0.0);
       for (std::size_t i = 0; i < cells.size(); ++i)
         eta->prefix[i + 1] =
-            eta->prefix[i] + runner::CostModel::estimate_units(cells[i]);
+            eta->prefix[i] + runner::estimate_units(cells[i]);
       eta->start_s = telemetry_now_s();
       options.on_cell_done = [eta](const runner::ScenarioProgress& p) {
         if (eta->first_units < 0.0) eta->first_units = eta->prefix[p.index];
