@@ -109,14 +109,4 @@ BirthdaySimDetail simulate_birthday_detailed(std::size_t n, double p_transmit,
   return detail;
 }
 
-double simulate_birthday(std::size_t n, double p_transmit, double p_listen,
-                         model::Mode mode, std::uint64_t slots,
-                         std::uint64_t seed) {
-  const BirthdaySimDetail d =
-      simulate_birthday_detailed(n, p_transmit, p_listen, slots, seed);
-  const double credit =
-      mode == model::Mode::kGroupput ? d.groupput_credit : d.anyput_credit;
-  return credit / static_cast<double>(slots);
-}
-
 }  // namespace econcast::baselines

@@ -41,8 +41,7 @@ BirthdayDesign optimize_birthday(std::size_t n, double budget,
 
 /// Full accounting of one slotted Birthday run — the payload the
 /// protocol::Protocol adapter maps onto the unified SimResult. Both
-/// throughput modes are tallied from the same slot draws, so either shim
-/// view is bit-identical to the seed version's single-mode run.
+/// throughput modes are tallied from the same slot draws.
 struct BirthdaySimDetail {
   std::uint64_t slots = 0;
   double groupput_credit = 0.0;  // Σ listeners over singleton-transmitter slots
@@ -58,13 +57,6 @@ BirthdaySimDetail simulate_birthday_detailed(std::size_t n, double p_transmit,
                                              double p_listen,
                                              std::uint64_t slots,
                                              std::uint64_t seed);
-
-/// Deprecated shim over simulate_birthday_detailed (same RNG stream, bit-
-/// identical to the seed version). Returns measured throughput over `slots`
-/// slots. Prefer the "birthday" entry of protocol::ProtocolRegistry.
-double simulate_birthday(std::size_t n, double p_transmit, double p_listen,
-                         model::Mode mode, std::uint64_t slots,
-                         std::uint64_t seed);
 
 }  // namespace econcast::baselines
 

@@ -209,23 +209,4 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
   return result;
 }
 
-PandaSimResult simulate_panda(std::size_t n, double wake_rate,
-                              double listen_window, double listen_power,
-                              double transmit_power, double duration,
-                              std::uint64_t seed) {
-  const PandaSimDetail d =
-      simulate_panda_detailed(n, wake_rate, listen_window, duration, seed);
-  PandaSimResult result;
-  result.packets = d.packets;
-  result.receptions = d.receptions;
-  double energy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    energy +=
-        d.listen_time[i] * listen_power + d.transmit_time[i] * transmit_power;
-  }
-  result.groupput = static_cast<double>(d.receptions) / duration;
-  result.avg_power = energy / (static_cast<double>(n) * duration);
-  return result;
-}
-
 }  // namespace econcast::baselines

@@ -22,11 +22,14 @@ struct WorkDepthScope {
 
 bool on_executor_thread() noexcept { return t_work_depth > 0; }
 
+std::size_t resolve_threads(std::size_t requested) noexcept {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
 Executor::Executor(std::size_t num_threads) {
-  if (num_threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    num_threads = hw > 0 ? hw : 1;
-  }
+  num_threads = resolve_threads(num_threads);
   workers_.reserve(num_threads);
   try {
     for (std::size_t t = 0; t < num_threads; ++t)

@@ -27,6 +27,10 @@
 
 namespace econcast::exec {
 
+/// The thread cap every sweep layer uses: `requested`, or
+/// std::thread::hardware_concurrency() (at least 1) when it is 0.
+std::size_t resolve_threads(std::size_t requested) noexcept;
+
 /// Per-task progress notification: fn(index) has completed, `done` of
 /// `total` tasks are finished (monotone — invocations are serialized under a
 /// mutex, so `done` increases by exactly 1 per call and the callback needs
@@ -42,9 +46,8 @@ class Executor {
   using TaskFn = std::function<void(std::size_t)>;
   using ProgressFn = std::function<void(const TaskProgress&)>;
 
-  /// Spawns `num_threads` persistent workers (0 means
-  /// std::thread::hardware_concurrency(), at least 1). Workers sleep on a
-  /// condition variable between batches.
+  /// Spawns resolve_threads(num_threads) persistent workers. Workers sleep
+  /// on a condition variable between batches.
   explicit Executor(std::size_t num_threads = 0);
 
   /// Graceful shutdown: blocks until any in-flight batch has drained (a
@@ -81,9 +84,9 @@ class Executor {
                            std::size_t max_parallelism) const noexcept;
 
   /// The process-wide shared executor (hardware_concurrency workers),
-  /// constructed on first use and alive until exit. This is what
-  /// runner::ScenarioRunner submits to by default, so every batch in the
-  /// process reuses one warm pool.
+  /// constructed on first use and alive until exit. runner::ScenarioRunner
+  /// and runner::SweepSession submit to it by default, so every batch in
+  /// the process reuses one warm pool.
   static Executor& shared();
 
  private:

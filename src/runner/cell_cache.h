@@ -146,7 +146,8 @@ class CellCache {
   Probe probe(const Scenario& cell, std::uint64_t seed);
 
   /// Writes/overwrites the cell's entry (temp + rename). `wall_ms` is the
-  /// observed execution wall clock, persisted for cost-model calibration.
+  /// observed execution wall clock, persisted as telemetry (cache-stats
+  /// totals it; probes ignore it).
   /// Throws std::runtime_error on I/O failure.
   void publish(const Scenario& cell, std::uint64_t seed,
                const protocol::SimResult& result, double wall_ms);

@@ -142,12 +142,6 @@ PowerPoint power_point_from_json(const Value& value) {
 }
 
 Value to_json(const SweepSpec& spec) {
-  if (spec.topology_kind().empty())
-    throw Error("sweep '" + spec.name() +
-                "' uses a custom topology function and cannot be serialized");
-  if (spec.node_set_kind().empty())
-    throw Error("sweep '" + spec.name() +
-                "' uses a custom node-set function and cannot be serialized");
   spec.validate();
 
   Array protocols;

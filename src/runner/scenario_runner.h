@@ -16,20 +16,17 @@
 // fresh thread pool per batch, so back-to-back sweeps reuse one warm pool.
 //
 // Determinism contract: each scenario i runs with
-//   seed = derive_seed(base_seed, seed_offset + i)
+//   seed = derive_seed(base_seed, i)
 // (unless reseeding is disabled, in which case the scenario's own seed —
 // protocol::effective_seed(scenario.protocol) — is used), every worker
 // writes only to its own result slot,
 // and aggregation happens in index order after the batch drains. The
 // aggregate output is therefore bit-identical for any thread count,
-// including 1 — covered by tests/test_runner.cpp. The seed_offset overload
-// lets a checkpointed sweep (runner::SweepSession) run any suffix of a batch
-// with exactly the seeds the full batch would have used.
+// including 1 — covered by tests/test_runner.cpp.
 //
-// Worker-side hooks (RunnerOptions) run on the thread that computes a
-// scenario: before_scenario right before it, and may skip it (a distributed
-// sweep claims the cell there); on_scenario_computed right after it.
-// on_scenario_done is the serialized completion hook.
+// The per-scenario body — resolve the protocol, make_sim, run, attribute a
+// failure to the scenario — is run_scenario, which runner::SweepSession
+// calls from its own executor tasks.
 #ifndef ECONCAST_RUNNER_SCENARIO_RUNNER_H
 #define ECONCAST_RUNNER_SCENARIO_RUNNER_H
 
@@ -80,7 +77,6 @@ Scenario econcast_scenario(std::string name, model::NodeSet nodes,
 struct ScenarioProgress {
   std::size_t index = 0;  // position in the submitted batch
   std::size_t done = 0;   // scenarios completed so far, including this one
-                          // (0 in on_scenario_computed: not yet counted)
   std::size_t total = 0;
   const Scenario* scenario = nullptr;
   const protocol::SimResult* result = nullptr;
@@ -99,8 +95,9 @@ struct RunnerOptions {
       : num_threads(threads), base_seed(seed), reseed(reseed_cells) {}
 
   /// Cap on worker threads for this runner's batches; 0 means
-  /// std::thread::hardware_concurrency(). The executor may have fewer
-  /// workers, in which case its pool size is the effective cap.
+  /// std::thread::hardware_concurrency() (exec::resolve_threads). The
+  /// executor may have fewer workers, in which case its pool size is the
+  /// effective cap.
   std::size_t num_threads = 0;
 
   /// Batch-level seed from which per-scenario seeds are derived.
@@ -115,30 +112,9 @@ struct RunnerOptions {
   /// exec::Executor::shared().
   std::shared_ptr<exec::Executor> executor;
 
-  /// Opt-in per-scenario completion hook (progress lines, checkpoint
-  /// streaming). See ScenarioProgress for the invocation contract. For a
-  /// scenario skipped by before_scenario, `result` is null.
+  /// Opt-in per-scenario completion hook (progress lines, cache publish).
+  /// See ScenarioProgress for the invocation contract.
   std::function<void(const ScenarioProgress&)> on_scenario_done;
-
-  /// Opt-in worker-side predicate: runs on the worker thread right before
-  /// scenario `index` is computed (calls are not serialized). Returning
-  /// false skips the scenario: no simulation runs, on_scenario_computed is
-  /// not called, on_scenario_done reports `result == nullptr`, and its
-  /// result slot stays default-constructed and out of the summary. This is
-  /// where a distributed sweep claims the cell it is about to compute. An
-  /// exception thrown here fails the scenario like one thrown by its
-  /// simulation.
-  std::function<bool(std::size_t index)> before_scenario;
-
-  /// Opt-in per-scenario worker-side hook: runs on the thread that computed
-  /// scenario `index`, right after its result is written and before that
-  /// scenario's on_scenario_done. Calls are *not* serialized — concurrent
-  /// invocations for different scenarios overlap — so the body must confine
-  /// its writes to per-index state or synchronize itself. This is where
-  /// per-cell work that needs no ordering (cache publish, result encoding)
-  /// belongs, off the serialized hook. `done` is 0. An exception thrown
-  /// here fails the scenario like one thrown by its simulation.
-  std::function<void(const ScenarioProgress&)> on_scenario_computed;
 };
 
 /// Index-ordered summary statistics over a batch (one sample per scenario).
@@ -167,48 +143,30 @@ class ScenarioRunner {
   /// after all workers have stopped.
   BatchResult run(const std::vector<Scenario>& batch) const;
 
-  /// Same, but scenario i derives its seed from global index
-  /// (seed_offset + i) — the primitive behind resumable sweeps: running
-  /// cells [k, n) of an expanded sweep with seed_offset = k reproduces
-  /// exactly the seeds of positions [k, n) of the full batch.
-  BatchResult run(const std::vector<Scenario>& batch,
-                  std::uint64_t seed_offset) const;
-
-  /// Fully explicit form: scenario i runs with seeds[i] (RunnerOptions
-  /// seeding is bypassed — the caller owns seed derivation), and tasks are
-  /// *submitted* in the order submit_order[0], submit_order[1], ... —
-  /// a permutation of [0, batch size), or empty for submission in index
-  /// order. Results, summaries and every ScenarioProgress field stay keyed
-  /// by the original batch index, so the submission order can never change
-  /// any output — it only changes makespan (see cost_model.h, which
-  /// builds LPT permutations for it). Throws std::invalid_argument when
-  /// seeds/submit_order have the wrong size or submit_order is not a
-  /// permutation.
+  /// Same, but scenario i runs with seeds[i] (RunnerOptions seeding is
+  /// bypassed — the caller owns seed derivation). Throws
+  /// std::invalid_argument when seeds has the wrong size.
   BatchResult run_with_seeds(const std::vector<Scenario>& batch,
-                             const std::vector<std::uint64_t>& seeds,
-                             const std::vector<std::size_t>& submit_order =
-                                 {}) const;
-
-  /// Low-level parallel for: invokes fn(i) for every i in [0, n) across the
-  /// executor. fn must confine its writes to per-index state. The first
-  /// exception thrown by any invocation is rethrown after the batch drains;
-  /// remaining indices are abandoned. Exposed for sweeps whose unit of work
-  /// is not a protocol Sim (e.g. the Fig. 2 oracle-ratio cells).
-  void for_each(std::size_t n,
-                const std::function<void(std::size_t)>& fn) const;
-
-  /// How many participants a batch of n scenarios is spread over: the
-  /// executor's exec::Executor::participants under this runner's thread
-  /// cap. SweepSession deals its LPT submission order across this many
-  /// chunks (cost_model.h).
-  std::size_t participants(std::size_t n) const;
+                             const std::vector<std::uint64_t>& seeds) const;
 
  private:
-  exec::Executor& executor() const;
-  std::size_t effective_threads() const noexcept;
-
   RunnerOptions options_;
 };
+
+/// One scenario's result and the wall clock its simulation took.
+struct ScenarioRun {
+  protocol::SimResult result;
+  double wall_ms = 0.0;  // telemetry only, as ScenarioProgress::wall_ms
+};
+
+/// Runs one scenario with `seed` on the calling thread: resolves its
+/// protocol through protocol::ProtocolRegistry::global(), builds the Sim and
+/// runs it. Resolution failures and std::invalid_argument from make_sim or
+/// the run (e.g. Panda on a non-clique) are rethrown as
+/// std::invalid_argument naming the scenario and `index`, so a bad cell in
+/// a large expanded sweep is locatable.
+ScenarioRun run_scenario(const Scenario& scenario, std::uint64_t seed,
+                         std::size_t index);
 
 /// Aggregates results in index order (deterministic regardless of the thread
 /// count that produced them). Exposed for callers that post-process results

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -117,7 +116,8 @@ void SweepSession::load_existing() {
 }
 
 std::size_t SweepSession::run(std::size_t limit) {
-  // `offset` is the index of the first cell still to run.
+  // `offset` is the index of the first cell still to run; `local` indices
+  // below are relative to it.
   const std::size_t offset = completed_.size();
   std::size_t todo = cell_count() - offset;
   if (limit > 0 && limit < todo) todo = limit;
@@ -129,56 +129,51 @@ std::size_t SweepSession::run(std::size_t limit) {
     throw std::runtime_error("cannot append to results file '" +
                              results_path_ + "'");
 
-  RunnerOptions runner_options;
-  runner_options.num_threads = options_.num_threads;
-  runner_options.executor = options_.executor;
+  exec::Executor& executor =
+      options_.executor ? *options_.executor : exec::Executor::shared();
+  const std::size_t threads = exec::resolve_threads(options_.num_threads);
+  CellCache* const cache = options_.cache.get();
 
-  // Cache probe pass, in parallel on the session's executor (each probe
-  // writes only its own slot). Hits park their decoded (and re-validated)
-  // results in `cached` — stable storage, the vector never resizes — and
-  // skip execution entirely; only the misses in `miss_local` run.
-  std::vector<std::optional<protocol::SimResult>> cached(todo);
-  std::vector<std::size_t> miss_local;  // local (offset-relative) indices
-  if (options_.cache) {
-    CellCache& cache = *options_.cache;
-    ScenarioRunner(runner_options).for_each(todo, [&](std::size_t local) {
-      const std::size_t g = offset + local;
-      CellCache::Probe probe = cache.probe(batch_[g], cell_seed(g));
-      if (probe.hit) cached[local] = std::move(probe.result);
-    });
-    for (std::size_t local = 0; local < todo; ++local)
-      if (!cached[local]) miss_local.push_back(local);
-  } else {
-    miss_local.resize(todo);
-    std::iota(miss_local.begin(), miss_local.end(), std::size_t{0});
-  }
+  // `results[local]` holds the cell's result once it is final: a hit's from
+  // the cache probe pass (in parallel, each probe writing only its own
+  // slot), a miss's from the worker that computed it. Only the misses run.
+  std::vector<std::optional<protocol::SimResult>> results(todo);
+  if (cache)
+    executor.parallel_for(
+        todo,
+        [&](std::size_t local) {
+          const std::size_t g = offset + local;
+          CellCache::Probe probe = cache->probe(batch_[g], cell_seed(g));
+          if (probe.hit) results[local] = std::move(probe.result);
+        },
+        threads);
 
   // Completion-order reorder buffer: `ready` marks cells whose result is
-  // final, `lines` holds their encoded records. A computed cell's line is
-  // encoded on its worker thread; a hit's is encoded only when it is
-  // flushed, and every line is freed once written, so at most the
-  // out-of-order window is held encoded. flush_ready (called on the
-  // submitting thread, then under the executor's serialized hook) appends
+  // final and is only touched on the submitting thread or under the
+  // executor's serialized progress hook; `lines` holds encoded records. A
+  // computed cell's line is encoded on its worker thread; a hit's is
+  // encoded only when it is flushed, and every line is freed once written,
+  // so at most the out-of-order window is held encoded. flush_ready appends
   // the ready prefix so the file never has gaps, then reports
   // session-global progress. The file bytes depend only on cell indices —
   // never on where a result came from (cache or execution) or what order
   // the executor finished in.
-  std::vector<const protocol::SimResult*> ready(todo, nullptr);
+  std::vector<char> ready(todo, 0);
+  std::vector<std::size_t> misses;  // local indices
+  for (std::size_t local = 0; local < todo; ++local) {
+    if (results[local])
+      ready[local] = 1;
+    else
+      misses.push_back(local);
+  }
   std::vector<std::string> lines(todo);
-  for (std::size_t local = 0; local < todo; ++local)
-    if (cached[local]) ready[local] = &*cached[local];
   std::size_t next_flush = 0;
   const auto flush_ready = [&] {
-    while (next_flush < todo && ready[next_flush] != nullptr) {
+    while (next_flush < todo && ready[next_flush]) {
       const std::size_t local = next_flush;
       std::string& line = lines[local];
-      if (line.empty()) line = record_line(offset + local, *ready[local]);
-      // A hit's result is owned here and moves; a computed one is copied
-      // out of the runner's batch.
-      if (cached[local])
-        completed_.push_back(std::move(*cached[local]));
-      else
-        completed_.push_back(*ready[local]);
+      if (line.empty()) line = record_line(offset + local, *results[local]);
+      completed_.push_back(std::move(*results[local]));
       out << line;
       std::string().swap(line);
       if (!out.flush())
@@ -200,73 +195,71 @@ std::size_t SweepSession::run(std::size_t limit) {
   // Checkpoint the cached prefix before any execution: if a later miss
   // throws, every hit already flushed stays on disk.
   flush_ready();
+  if (misses.empty()) return completed_.size() - offset;
 
-  if (!miss_local.empty()) {
-    std::vector<Scenario> pending;
-    std::vector<std::uint64_t> seeds;
-    pending.reserve(miss_local.size());
-    seeds.reserve(miss_local.size());
-    for (const std::size_t local : miss_local) {
-      pending.push_back(batch_[offset + local]);
-      seeds.push_back(cell_seed(offset + local));
-    }
+  // Submission k runs miss order[k]: longest expected first, dealt over the
+  // participants parallel_for seeds (cost_model.h).
+  std::vector<Scenario> pending;
+  pending.reserve(misses.size());
+  for (const std::size_t local : misses)
+    pending.push_back(batch_[offset + local]);
+  const std::vector<std::size_t> order = cost_submit_order(
+      pending, executor.participants(misses.size(), threads));
 
-    // p.index / i is the cell's position in `pending` regardless of the
-    // submission permutation (run_with_seeds keys progress by original
-    // batch index). The worker-side hooks do everything that needs no
-    // ordering — claim, publish, release and encode — on the cell's own
-    // thread, writing only that cell's slot; the serialized hook just marks
-    // it ready and appends. A cell left to another worker reports a null
-    // result and stays not-ready, so the flush stops in front of it.
-    std::vector<char> claimed(pending.size(), 0);
-    std::vector<char> skipped(pending.size(), 0);
-    if (options_.cache) {
-      runner_options.before_scenario = [&](std::size_t i) {
-        try {
-          claimed[i] = options_.cache->try_claim(pending[i], seeds[i]);
-          skipped[i] = !claimed[i];
-        } catch (const std::exception&) {
-          // An unwritable cache, or one on a filesystem without hard
-          // links, cannot coordinate: compute unclaimed.
-        }
-        return !skipped[i];
-      };
-    }
-    runner_options.on_scenario_computed = [&](const ScenarioProgress& p) {
-      const std::size_t local = miss_local[p.index];
-      if (options_.cache) {
-        try {
-          options_.cache->publish(pending[p.index], seeds[p.index], *p.result,
-                                  p.wall_ms);
-        } catch (const std::exception&) {
-          // The cache is an optimization: a read-only or full cache
-          // directory degrades to recomputing, it never fails the sweep.
-        }
-        if (claimed[p.index]) {
-          options_.cache->release(pending[p.index], seeds[p.index]);
-          claimed[p.index] = 0;
-        }
+  // Each task claims, computes, publishes, releases and encodes its own
+  // cell, writing only that cell's slots; the serialized hook just marks it
+  // ready and appends. A cell another worker holds (or has published since
+  // the probe) is deferred: it stays not-ready, so the flush stops in front
+  // of it.
+  std::vector<char> claimed(misses.size(), 0);
+  std::vector<char> deferred(misses.size(), 0);
+  const auto task = [&](std::size_t k) {
+    const std::size_t i = order[k];
+    const std::size_t g = offset + misses[i];
+    const Scenario& cell = batch_[g];
+    const std::uint64_t seed = cell_seed(g);
+    if (cache) {
+      try {
+        claimed[i] = cache->try_claim(cell, seed);
+        deferred[i] = !claimed[i];
+      } catch (const std::exception&) {
+        // An unwritable cache, or one on a filesystem without hard links,
+        // cannot coordinate: compute unclaimed.
       }
-      lines[local] = record_line(offset + local, *p.result);
-    };
-    runner_options.on_scenario_done = [&](const ScenarioProgress& p) {
-      ready[miss_local[p.index]] = p.result;
-      flush_ready();
-    };
-
-    const ScenarioRunner runner(runner_options);
-    const std::vector<std::size_t> order =
-        cost_submit_order(pending, runner.participants(pending.size()));
-    try {
-      runner.run_with_seeds(pending, seeds, order);
-    } catch (...) {
-      for (std::size_t i = 0; i < pending.size(); ++i)
-        if (claimed[i]) options_.cache->release(pending[i], seeds[i]);
-      throw;
+      if (deferred[i]) return;
     }
-    deferred_ = static_cast<std::size_t>(
-        std::count(skipped.begin(), skipped.end(), 1));
+    ScenarioRun run = run_scenario(cell, seed, g);
+    if (cache) {
+      try {
+        cache->publish(cell, seed, run.result, run.wall_ms);
+      } catch (const std::exception&) {
+        // The cache is an optimization: a read-only or full cache
+        // directory degrades to recomputing, it never fails the sweep.
+      }
+      if (claimed[i]) {
+        cache->release(cell, seed);
+        claimed[i] = 0;
+      }
+    }
+    lines[misses[i]] = record_line(g, run.result);
+    results[misses[i]] = std::move(run.result);
+  };
+  const auto progress = [&](const exec::TaskProgress& p) {
+    const std::size_t i = order[p.index];
+    if (deferred[i]) return;
+    ready[misses[i]] = 1;
+    flush_ready();
+  };
+  try {
+    executor.parallel_for(order.size(), task, threads, progress);
+  } catch (...) {
+    for (std::size_t i = 0; i < misses.size(); ++i)
+      if (claimed[i])
+        cache->release(pending[i], cell_seed(offset + misses[i]));
+    throw;
   }
+  deferred_ = static_cast<std::size_t>(
+      std::count(deferred.begin(), deferred.end(), 1));
   return completed_.size() - offset;
 }
 

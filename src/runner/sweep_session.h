@@ -10,16 +10,15 @@
 // byte-identical to an uninterrupted one (covered by
 // tests/test_sweep_session.cpp).
 //
-// Thread division. Cells complete on executor threads in any order. Each
-// worker does the per-cell work that needs no ordering on its own thread:
-// it probes the cache (a parallel pass over the pending cells before any
-// cell runs), and after computing a cell it publishes it to the cache and
-// encodes its results line (ScenarioRunner's unserialized
-// on_scenario_computed hook). The serialized on_scenario_done hook only
-// marks the cell ready and appends the ready prefix of already-encoded
-// lines in index order (a cache hit's line is encoded when it is appended),
-// so a crash never loses more than the cells still in flight and no cache
-// or encoding work waits behind the hook's lock.
+// Thread division. run() drives exec::Executor itself, in two
+// parallel_for batches: a probe pass over the pending cells, then the
+// misses. Each miss task claims, computes (runner::run_scenario), publishes,
+// releases and encodes its own cell on its own thread, so cells complete in
+// any order. The executor's serialized progress hook only marks the cell
+// ready and appends the ready prefix of already-encoded lines in index
+// order (a cache hit's line is encoded when it is appended), so a crash
+// never loses more than the cells still in flight and no cache or encoding
+// work waits behind the hook's lock.
 //
 // Three throughput layers sit on top (all output-invisible by construction):
 //  - A content-addressed CellCache (cell_cache.h). Before submitting the
@@ -29,19 +28,18 @@
 //    therefore executes zero cells while producing byte-identical results
 //    files.
 //  - Distributed sweeps, through the same cache. Right before computing a
-//    miss, the worker thread claims it (CellCache::try_claim, through
-//    ScenarioRunner's before_scenario hook), then publishes it and releases
-//    the claim. A miss another live worker holds, or has published since
-//    the probe, is skipped, not waited for: the reorder buffer stops
-//    flushing at it, later cells are still computed and published, and
-//    deferred_cells() counts what was left.
-//    Any number of processes, each with its own results file, can run one
-//    manifest against one cache directory; once none holds a claim, one
-//    more run of the same command is a warm pass that writes the canonical
-//    results file.
+//    miss, the worker thread claims it (CellCache::try_claim), then
+//    publishes it and releases the claim. A miss another live worker holds,
+//    or has published since the probe, is skipped, not waited for: the
+//    reorder buffer stops flushing at it, later cells are still computed
+//    and published, and deferred_cells() counts what was left. Any number
+//    of processes, each with its own results file, can run one manifest
+//    against one cache directory; once none holds a claim, one more run of
+//    the same command is a warm pass that writes the canonical results
+//    file.
 //  - Longest-expected-first (LPT) submission (cost_model.h). The pending
 //    misses are always submitted in descending cost-model units, dealt
-//    across the executor's participants, so no heavy cell lands last on a
+//    across exec::Executor::participants, so no heavy cell lands last on a
 //    busy pool. The reorder buffer writes the file in index order no matter
 //    what order cells complete in, which is what makes reordering legal.
 #ifndef ECONCAST_RUNNER_SWEEP_SESSION_H
@@ -70,7 +68,8 @@ std::uint64_t manifest_cell_seed(const SweepManifest& manifest,
 class SweepSession {
  public:
   struct Options {
-    /// Thread cap for the cell batches; 0 = hardware_concurrency.
+    /// Thread cap for the cell batches; 0 = hardware_concurrency
+    /// (exec::resolve_threads).
     std::size_t num_threads = 0;
     /// Executor to submit to; null = exec::Executor::shared().
     std::shared_ptr<exec::Executor> executor;
@@ -129,7 +128,7 @@ class SweepSession {
   /// repeatedly; a no-op when the session is already complete. If a cell
   /// throws, every cell completed before the failure is already
   /// checkpointed, the claims still held are released, and the exception
-  /// is rethrown.
+  /// is rethrown (naming the cell and its index in cells()).
   std::size_t run(std::size_t limit = 0);
 
   /// Index-ordered results and summary over the whole sweep.

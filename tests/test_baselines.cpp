@@ -28,7 +28,11 @@ TEST(Birthday, ClosedFormKnownValue) {
 TEST(Birthday, SimulationMatchesClosedForm) {
   for (const Mode mode : {Mode::kGroupput, Mode::kAnyput}) {
     const double analytic = birthday_throughput(5, 0.01, 0.01, mode);
-    const double sim = simulate_birthday(5, 0.01, 0.01, mode, 4000000, 9);
+    const BirthdaySimDetail d =
+        simulate_birthday_detailed(5, 0.01, 0.01, 4000000, 9);
+    const double credit =
+        mode == Mode::kGroupput ? d.groupput_credit : d.anyput_credit;
+    const double sim = credit / static_cast<double>(d.slots);
     EXPECT_NEAR(sim, analytic, 0.05 * analytic + 1e-5)
         << model::to_string(mode);
   }
@@ -91,11 +95,16 @@ TEST(Panda, OptimizerSaturatesBudget) {
 
 TEST(Panda, SimulationValidatesAnalyticalModel) {
   const PandaDesign d = optimize_panda(5, 10.0, 500.0, 500.0);
-  const PandaSimResult sim =
-      simulate_panda(5, d.wake_rate, d.listen_window, 500.0, 500.0, 3e6, 21);
+  const PandaSimDetail sim =
+      simulate_panda_detailed(5, d.wake_rate, d.listen_window, 3e6, 21);
+  const double groupput = static_cast<double>(sim.receptions) / sim.duration;
+  double energy = 0.0;
+  for (std::size_t i = 0; i < 5; ++i)
+    energy += (sim.listen_time[i] + sim.transmit_time[i]) * 500.0;
+  const double avg_power = energy / (5.0 * sim.duration);
   // The renewal model is approximate; require agreement within 15%.
-  EXPECT_NEAR(sim.groupput, d.throughput, 0.15 * d.throughput);
-  EXPECT_NEAR(sim.avg_power, d.power, 0.15 * d.power);
+  EXPECT_NEAR(groupput, d.throughput, 0.15 * d.throughput);
+  EXPECT_NEAR(avg_power, d.power, 0.15 * d.power);
 }
 
 TEST(Panda, PaperHeadlineGapVersusOracle) {
@@ -118,13 +127,13 @@ TEST(Panda, ThroughputImprovesWithBudget) {
 TEST(Panda, RejectsBadInputs) {
   EXPECT_THROW(optimize_panda(1, 10.0, 500.0, 500.0), std::invalid_argument);
   EXPECT_THROW(optimize_panda(5, 0.0, 500.0, 500.0), std::invalid_argument);
-  EXPECT_THROW(simulate_panda(5, 0.0, 1.0, 500.0, 500.0, 1e4, 1),
+  EXPECT_THROW(simulate_panda_detailed(5, 0.0, 1.0, 1e4, 1),
                std::invalid_argument);
 }
 
 TEST(Panda, SimDeterministicPerSeed) {
-  const PandaSimResult a = simulate_panda(5, 0.01, 1.0, 500.0, 500.0, 1e5, 5);
-  const PandaSimResult b = simulate_panda(5, 0.01, 1.0, 500.0, 500.0, 1e5, 5);
+  const PandaSimDetail a = simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
+  const PandaSimDetail b = simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.receptions, b.receptions);
 }

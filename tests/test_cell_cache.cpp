@@ -3,8 +3,8 @@
 // epoch isolation, concurrent publish, gc/scan), its per-cell claims
 // (exclusive acquire across threads, staleness, malformed claim files), the
 // cost model's units and LPT submission order (and its deal across the
-// executor's participants), ScenarioRunner::run_with_seeds permutation
-// validation and skip hook, and the end-to-end guarantee the whole layer
+// executor's participants), ScenarioRunner::run_with_seeds seed-count
+// validation, and the end-to-end guarantee the whole layer
 // hangs off: a sweep run with the cache off, cold or warm — on any number of
 // participants — produces byte-identical results files, with the warm run
 // executing zero cells.
@@ -563,111 +563,45 @@ TEST(CostModel, DealHeadsEveryExecutorParticipantWithAHeavyCell) {
                      model::Topology::clique(n),
                      protocol::econcast_spec(cfg)});
 
-  // A runner capped at 8 threads on a one-worker pool spreads the batch
-  // over 2 participants (the worker and the submitting thread), so the
-  // deal has 2 chunks of 5, each headed by one of the two heaviest cells.
-  runner::RunnerOptions options;
-  options.num_threads = 8;
-  options.executor = std::make_shared<exec::Executor>(1);
-  ASSERT_EQ(runner::ScenarioRunner(options).participants(cells.size()), 2u);
-  const std::vector<std::size_t> order =
-      runner::cost_submit_order(cells, 2);
+  // A cap of 8 threads on a one-worker pool spreads the batch over 2
+  // participants (the worker and the submitting thread), so the deal has 2
+  // chunks of 5, each headed by one of the two heaviest cells.
+  exec::Executor executor(1);
+  ASSERT_EQ(executor.participants(cells.size(), 8), 2u);
+  const std::vector<std::size_t> order = runner::cost_submit_order(cells, 2);
   EXPECT_EQ(order[0], 9u);
   EXPECT_EQ(order[5], 8u);
 
   // And the executor really starts each participant on its chunk's head.
-  // Each participant's first cell waits until both have started, so
-  // neither can drain the other's chunk first; every cell is then skipped,
-  // so nothing is simulated.
+  // Each participant's first task waits until both have started, so
+  // neither can drain the other's chunk first; no task simulates anything.
   std::mutex mu;
   std::condition_variable cv;
   std::set<std::thread::id> started;
   std::vector<std::size_t> heads;
-  options.before_scenario = [&](std::size_t i) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (started.insert(std::this_thread::get_id()).second) {
-      heads.push_back(i);
-      cv.notify_all();
-      cv.wait_for(lock, std::chrono::seconds(30),
-                  [&] { return heads.size() >= 2; });
-    }
-    return false;
-  };
-  const runner::ScenarioRunner runner(options);
-  runner.run_with_seeds(cells, std::vector<std::uint64_t>(cells.size(), 1),
-                        runner::cost_submit_order(
-                            cells, runner.participants(cells.size())));
+  executor.parallel_for(
+      order.size(),
+      [&](std::size_t k) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (started.insert(std::this_thread::get_id()).second) {
+          heads.push_back(order[k]);
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(30),
+                      [&] { return heads.size() >= 2; });
+        }
+      },
+      8);
   std::sort(heads.begin(), heads.end());
   EXPECT_EQ(heads, (std::vector<std::size_t>{8, 9}));
 }
 
 // ---------------------------------------------------------- run_with_seeds --
 
-TEST(RunWithSeeds, ValidatesSeedsAndPermutation) {
+TEST(RunWithSeeds, ValidatesSeedCount) {
   const auto cells = small_manifest().spec.expand();
   const std::vector<runner::Scenario> batch(cells.begin(), cells.begin() + 4);
   const runner::ScenarioRunner r(runner::RunnerOptions{2, 7, true});
-  const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
-
   EXPECT_THROW(r.run_with_seeds(batch, {1, 2, 3}), std::invalid_argument);
-  EXPECT_THROW(r.run_with_seeds(batch, seeds, {0, 1, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(r.run_with_seeds(batch, seeds, {0, 1, 2, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(r.run_with_seeds(batch, seeds, {0, 1, 2, 4}),
-               std::invalid_argument);
-}
-
-TEST(RunWithSeeds, BeforeScenarioSkipsCells) {
-  const auto cells = small_manifest().spec.expand();
-  const std::vector<runner::Scenario> batch(cells.begin(), cells.begin() + 6);
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    seeds.push_back(runner::derive_seed(7, i));
-  runner::RunnerOptions options{2, 7, true};
-  std::vector<int> computed(batch.size(), 0);
-  std::vector<int> null_results(batch.size(), 0);
-  options.before_scenario = [](std::size_t i) { return i % 2 == 0; };
-  options.on_scenario_computed = [&](const runner::ScenarioProgress& p) {
-    ++computed[p.index];
-  };
-  options.on_scenario_done = [&](const runner::ScenarioProgress& p) {
-    null_results[p.index] += p.result == nullptr ? 1 : 0;
-  };
-  const runner::BatchResult skipping =
-      runner::ScenarioRunner(options).run_with_seeds(batch, seeds);
-  EXPECT_EQ(computed, (std::vector<int>{1, 0, 1, 0, 1, 0}));
-  EXPECT_EQ(null_results, (std::vector<int>{0, 1, 0, 1, 0, 1}));
-  // The summary covers the computed cells only.
-  EXPECT_EQ(skipping.summary.groupput.count(), 3u);
-
-  const runner::BatchResult all =
-      runner::ScenarioRunner(runner::RunnerOptions{2, 7, true})
-          .run_with_seeds(batch, seeds);
-  for (std::size_t i = 0; i < batch.size(); i += 2)
-    EXPECT_EQ(util::json::dump(protocol::to_json(skipping.results[i])),
-              util::json::dump(protocol::to_json(all.results[i])))
-        << "cell " << i;
-}
-
-TEST(RunWithSeeds, SubmissionOrderCannotChangeResults) {
-  const auto cells = small_manifest().spec.expand();
-  const std::vector<runner::Scenario> batch(cells.begin(), cells.begin() + 6);
-  const runner::ScenarioRunner r(runner::RunnerOptions{2, 7, true});
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    seeds.push_back(runner::derive_seed(7, i));
-
-  const runner::BatchResult forward = r.run_with_seeds(batch, seeds);
-  const runner::BatchResult reversed =
-      r.run_with_seeds(batch, seeds, {5, 4, 3, 2, 1, 0});
-  ASSERT_EQ(forward.results.size(), reversed.results.size());
-  for (std::size_t i = 0; i < forward.results.size(); ++i) {
-    EXPECT_EQ(protocol::to_json(forward.results[i]) ==
-                  protocol::to_json(reversed.results[i]),
-              true)
-        << "cell " << i;
-  }
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ TEST(ProtocolAdapters, EconCastCountersArePinned) {
       {52813, 52875, 52813, 45, 32, 4618427400414603457u});
 }
 
-TEST(ProtocolAdapters, PandaSimulationMatchesDeprecatedShim) {
+TEST(ProtocolAdapters, PandaSimulationMatchesDetailedRun) {
   protocol::PandaParams params;
   params.optimize = false;
   params.wake_rate = 0.01;
@@ -233,17 +233,21 @@ TEST(ProtocolAdapters, PandaSimulationMatchesDeprecatedShim) {
   const SimResult via_registry =
       run_spec(protocol::panda_spec(params), paper_nodes(),
                model::Topology::clique(5), /*seed=*/5);
-  const baselines::PandaSimResult shim =
-      baselines::simulate_panda(5, 0.01, 1.0, 500.0, 500.0, 1e5, 5);
-  EXPECT_EQ(via_registry.packets_sent, shim.packets);
-  EXPECT_EQ(via_registry.packets_received, shim.receptions);
-  EXPECT_EQ(via_registry.groupput, shim.groupput);
+  const baselines::PandaSimDetail detail =
+      baselines::simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
+  EXPECT_EQ(via_registry.packets_sent, detail.packets);
+  EXPECT_EQ(via_registry.packets_received, detail.receptions);
+  EXPECT_EQ(via_registry.groupput,
+            static_cast<double>(detail.receptions) / 1e5);
   double mean_power = 0.0;
   for (const double p : via_registry.avg_power) mean_power += p;
   mean_power /= 5.0;
-  EXPECT_NEAR(mean_power, shim.avg_power, 1e-12);
+  double energy = 0.0;
+  for (std::size_t i = 0; i < 5; ++i)
+    energy += (detail.listen_time[i] + detail.transmit_time[i]) * 500.0;
+  EXPECT_NEAR(mean_power, energy / (5.0 * 1e5), 1e-12);
   EXPECT_GE(via_registry.anyput * 1e5,
-            static_cast<double>(shim.receptions) / 5.0);
+            static_cast<double>(detail.receptions) / 5.0);
 }
 
 TEST(ProtocolAdapters, PandaAnalyticMatchesOptimizer) {
@@ -259,7 +263,7 @@ TEST(ProtocolAdapters, PandaAnalyticMatchesOptimizer) {
   EXPECT_EQ(via_registry.extra("listen_window"), design.listen_window);
 }
 
-TEST(ProtocolAdapters, BirthdaySimulationMatchesDeprecatedShim) {
+TEST(ProtocolAdapters, BirthdaySimulationMatchesDetailedRun) {
   protocol::BirthdayParams params;
   params.optimize = false;
   params.p_transmit = 0.01;
@@ -269,12 +273,10 @@ TEST(ProtocolAdapters, BirthdaySimulationMatchesDeprecatedShim) {
   const SimResult via_registry =
       run_spec(protocol::birthday_spec(params), paper_nodes(),
                model::Topology::clique(5), /*seed=*/9);
-  EXPECT_EQ(via_registry.groupput,
-            baselines::simulate_birthday(5, 0.01, 0.01,
-                                         model::Mode::kGroupput, 200000, 9));
-  EXPECT_EQ(via_registry.anyput,
-            baselines::simulate_birthday(5, 0.01, 0.01, model::Mode::kAnyput,
-                                         200000, 9));
+  const baselines::BirthdaySimDetail detail =
+      baselines::simulate_birthday_detailed(5, 0.01, 0.01, 200000, 9);
+  EXPECT_EQ(via_registry.groupput, detail.groupput_credit / 200000.0);
+  EXPECT_EQ(via_registry.anyput, detail.anyput_credit / 200000.0);
 }
 
 TEST(ProtocolAdapters, BirthdayAnalyticMatchesOptimizer) {

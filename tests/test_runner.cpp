@@ -5,9 +5,7 @@
 // exception propagation out of the pool.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -280,31 +278,6 @@ TEST(ScenarioRunner, ScenarioFailurePropagates) {
     ScenarioRunner r(RunnerOptions{threads, 7, true});
     EXPECT_THROW(r.run(batch), std::invalid_argument);
   }
-}
-
-TEST(ScenarioRunner, ForEachPropagatesFirstException) {
-  ScenarioRunner r(RunnerOptions{4, 1, true});
-  std::atomic<int> calls{0};
-  EXPECT_THROW(
-      r.for_each(100,
-                 [&](std::size_t i) {
-                   calls.fetch_add(1);
-                   if (i == 13) throw std::runtime_error("boom");
-                 }),
-      std::runtime_error);
-  // Workers stop early once a failure is flagged; at minimum the failing
-  // index ran, and no more than the full batch.
-  EXPECT_GE(calls.load(), 1);
-  EXPECT_LE(calls.load(), 100);
-}
-
-TEST(ScenarioRunner, ForEachCoversAllIndicesOnce) {
-  ScenarioRunner r(RunnerOptions{4, 1, true});
-  std::vector<int> hits(257, 0);
-  r.for_each(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-            static_cast<int>(hits.size()));
-  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 }  // namespace

@@ -417,10 +417,6 @@ TEST(ProtocolJson, NonFiniteResultFieldsSurviveAsNull) {
 }
 
 TEST(ManifestJson, CustomTopologyIsNotSerializable) {
-  runner::SweepSpec spec("custom");
-  spec.topology([](std::size_t n) { return model::Topology::line(n); });
-  EXPECT_EQ(spec.topology_kind(), "");
-  EXPECT_THROW(runner::to_json(spec), json::Error);
   EXPECT_THROW(runner::SweepSpec("x").topology("moebius"),
                std::invalid_argument);
 }
@@ -927,6 +923,33 @@ TEST(SweepSessionClaims, FailingCellsReleaseTheirClaims) {
   EXPECT_THROW(session.run(), std::invalid_argument);
   EXPECT_FALSE(session.complete());
   EXPECT_EQ(claim_files(cache_dir), 0u);
+}
+
+TEST(SweepSession, CellErrorsNameTheManifestIndex) {
+  // run(4) checkpoints the four EconCast cells; every cell left is a P4
+  // cell, which needs a clique and fails on a ring. The error must name the
+  // failing cell's position in the manifest, not in the batch of cells the
+  // second run() had left to compute.
+  const ScopedTempDir temp;
+  const runner::SweepManifest manifest(
+      small_sweep().topology("ring").node_counts({4}), 7, true);
+  runner::SweepSession session(
+      manifest, (temp.path() / "w.jsonl").string(), four_workers());
+  ASSERT_EQ(session.run(4), 4u);
+  try {
+    session.run();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    const std::size_t at = message.find("(index ");
+    ASSERT_NE(at, std::string::npos) << message;
+    const std::size_t index = std::stoul(message.substr(at + 7));
+    ASSERT_LT(index, session.cells().size()) << message;
+    EXPECT_GE(index, 4u) << message;
+    EXPECT_NE(message.find("'" + session.cells()[index].name + "'"),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(SweepSession, DefaultResultsPath) {

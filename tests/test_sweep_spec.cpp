@@ -107,26 +107,36 @@ TEST(SweepSpec, AxesSpecializeProtocolParams) {
   EXPECT_EQ(p4.sigma, 0.1);
 }
 
-TEST(SweepSpec, CustomTopologyAndNodeSetHooks) {
-  const SweepSpec sweep =
-      SweepSpec("hooks")
-          .node_counts({6})
-          .topology([](std::size_t n) {
-            return model::Topology::grid(2, n / 2);
-          })
-          .node_set([](std::size_t n, const runner::PowerPoint& p) {
-            model::NodeSet nodes =
-                model::homogeneous(n, p.budget, p.listen_power,
-                                   p.transmit_power);
-            nodes[0].budget *= 2.0;  // one richer node
-            return nodes;
-          });
-  const std::vector<Scenario> batch = sweep.expand();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_FALSE(batch[0].topology.is_clique());
-  EXPECT_EQ(batch[0].topology.size(), 6u);
-  EXPECT_EQ(batch[0].nodes[0].budget, 20.0);
-  EXPECT_EQ(batch[0].nodes[1].budget, 10.0);
+TEST(SweepSpec, NamedTopologyAndNodeSetKindsBuildEachCell) {
+  // Topology and node set are named kinds, built per node count at expand
+  // time: square grids of side sqrt(N), homogeneous nodes at the power
+  // point.
+  const SweepSpec grids = SweepSpec("grids")
+                              .node_counts({4, 9})
+                              .powers({{20.0, 500.0, 500.0}})
+                              .topology("grid")
+                              .node_set("homogeneous");
+  const std::vector<Scenario> batch = grids.expand();
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].topology.edges(), model::Topology::grid(2, 2).edges());
+  EXPECT_EQ(batch[1].topology.edges(), model::Topology::grid(3, 3).edges());
+  for (const Scenario& cell : batch) {
+    EXPECT_FALSE(cell.topology.is_clique());
+    ASSERT_EQ(cell.nodes.size(), cell.topology.size());
+    for (const model::NodeParams& node : cell.nodes)
+      EXPECT_EQ(node.budget, 20.0);
+  }
+
+  for (const std::string kind : {"line", "ring"}) {
+    const std::vector<Scenario> one =
+        SweepSpec(kind).node_counts({6}).topology(kind).expand();
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].topology.edges(),
+              (kind == "line" ? model::Topology::line(6)
+                              : model::Topology::ring(6))
+                  .edges())
+        << kind;
+  }
 }
 
 TEST(SweepSpec, SampledNodeSetPairsNetworksAcrossCells) {
