@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: Gibbs
 // evaluation over W, the symmetric collapse, the dual solvers, the LP
-// oracle, the event-queue substrate, and the event-driven simulator.
+// oracle, the event-queue substrate, and the event-driven simulator on
+// grids and cliques.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -324,6 +325,34 @@ void BM_SimulatorGrid(benchmark::State& state) {
   state.SetLabel("N=" + std::to_string(n));
 }
 BENCHMARK(BM_SimulatorGrid)->Arg(4)->Arg(8)->Arg(16);
+
+// The simulator on cliques, the dense-neighbourhood path (listener-set
+// packet locking, batched carrier-toggle re-samples). Arg 0 is N. The config
+// mirrors the clique-des benchmark cells (energy guard, 40% warmup, σ = 0.5)
+// at a shortened duration.
+void BM_SimulatorClique(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto nodes = model::homogeneous(n, 10.0, 500.0, 500.0);
+  const auto topo = model::Topology::clique(n);
+  std::uint64_t seed = 77 + n;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    proto::SimConfig cfg;
+    cfg.sigma = 0.5;
+    cfg.duration = 2.5e4;
+    cfg.warmup = cfg.duration * 0.4;
+    cfg.seed = seed++;
+    cfg.energy_guard = true;
+    cfg.initial_energy = 5e5;
+    proto::Simulation sim(nodes, topo, cfg);
+    const auto r = sim.run();
+    events += r.events_processed;
+    benchmark::DoNotOptimize(r.groupput);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.SetLabel("N=" + std::to_string(n));
+}
+BENCHMARK(BM_SimulatorClique)->Arg(16)->Arg(64)->Arg(100);
 
 }  // namespace
 

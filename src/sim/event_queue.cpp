@@ -50,6 +50,17 @@ const char* kind_name(EventKind kind) noexcept {
   return "unknown";
 }
 
+/// The batch crossover of event_queue.h: defer when the announced edits'
+/// sifts (kArity·⌊log_kArity n⌋ comparisons each) cost more than Floyd's
+/// heapify (n + kArity·n/(kArity − 1) comparisons), with n the heap size at
+/// open plus the edits.
+bool defer_sifts(std::size_t edits, std::size_t heap_size) noexcept {
+  const std::size_t n = heap_size + edits;
+  std::size_t levels = 0;
+  for (std::size_t m = n; m >= kArity; m /= kArity) ++levels;
+  return edits * kArity * levels * (kArity - 1) > n * (2 * kArity - 1);
+}
+
 [[noreturn]] void slot_taken(const char* op, NodeId node, EventKind kind,
                              const char* holder) {
   throw std::logic_error(std::string("EventQueue::") + op + ": node " +
@@ -123,13 +134,31 @@ void EventQueue::cancel(NodeId node, EventKind kind) {
   ++stats_.cancels;
 }
 
+EventQueue::Batch::Batch(EventQueue& queue, std::size_t edits)
+    : queue_(queue) {
+  if (queue_.batch_open_)
+    throw std::logic_error("EventQueue::Batch: a batch is already open");
+  queue_.batch_open_ = true;
+  queue_.deferred_ = defer_sifts(edits, queue_.heap_.size());
+}
+
+EventQueue::Batch::~Batch() {
+  if (queue_.deferred_) {
+    queue_.deferred_ = false;
+    queue_.heapify();
+  }
+  queue_.batch_open_ = false;
+}
+
 const Event& EventQueue::top() const {
+  if (batch_open_) throw std::logic_error("top inside an EventQueue batch");
   if (empty()) throw std::logic_error("top of empty EventQueue");
   const std::size_t source = front_source();
   return source == kHeapSource ? heap_.front() : lanes_[source].front();
 }
 
 Event EventQueue::pop() {
+  if (batch_open_) throw std::logic_error("pop inside an EventQueue batch");
   if (empty()) throw std::logic_error("pop from empty EventQueue");
   const std::size_t source = front_source();
   Event event;
@@ -169,7 +198,7 @@ void EventQueue::count_push() noexcept {
 void EventQueue::insert(const Event& event, std::size_t slot) {
   pos_[slot] = static_cast<std::uint32_t>(heap_.size());
   heap_.push_back(event);
-  sift_up(heap_.size() - 1);
+  if (!deferred_) sift_up(heap_.size() - 1);
   count_push();
 }
 
@@ -211,10 +240,17 @@ void EventQueue::erase_at(std::size_t i) {
 }
 
 void EventQueue::fix(std::size_t i) {
+  if (deferred_) return;
   if (i > 0 && before(heap_[i], heap_[(i - 1) / kArity]))
     sift_up(i);
   else
     sift_down(i);
+}
+
+void EventQueue::heapify() {
+  const std::size_t n = heap_.size();
+  if (n < 2) return;
+  for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) sift_down(i);
 }
 
 void EventQueue::sift_up(std::size_t i) {

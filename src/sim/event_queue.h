@@ -26,6 +26,34 @@
 // on (time, seq), with seq assigned by every push()/schedule() call, so the
 // delivered sequence is a function of the call sequence alone — which
 // events took a lane does not change it.
+//
+// A `Batch` is a scoped run of schedule()/cancel()/push() calls with no
+// top()/pop() in between (both throw while a batch is open). A dense
+// neighbourhood re-samples every neighbour of a transmitter when the
+// carrier toggles, so the simulator wraps those loops in a batch. The
+// caller announces how many edits the batch will make; the queue alone
+// decides at open whether to defer. A deferring batch keeps the position
+// map exact but leaves the heap unordered, and closing it restores heap
+// order with one bottom-up (Floyd) heapify. The crossover counts key
+// comparisons in the 4-ary heap, with n the heap size at open plus the
+// announced edits (the size it grows to if every edit inserts):
+//
+//   * an immediate edit sifts across up to ⌊log₄ n⌋ levels, scanning 4
+//     children per level: 4·⌊log₄ n⌋ comparisons;
+//   * Floyd's heapify scans the 4 children of each of the ~n/4 parents
+//     (n comparisons), and its sifts move elements down at most n/3
+//     levels in total (Σ_h h·n·3/4^(h+1)), each a 4-child scan: 4n/3 more.
+//
+// So a batch defers when edits · 4·⌊log₄ n⌋ > 7n/3. A grid node has at
+// most 4 neighbours, and at most 4 edits pass that test only on a heap of
+// at most 2 events. A clique's N − 1 edits pass it on any heap under 37
+// events at N = 16 and under 580 at N = 100. A node has at most two
+// cancellable timers (transition and guard), and most durable ones take a
+// lane, so cliques of 16 or more nodes defer at practically every carrier
+// toggle. Deferring changes the heap's layout, never its (time, seq)
+// order, seq assignment or the QueueStats counters, so the delivered
+// sequence is the same either way. The rule is internal: no configuration
+// selects it.
 #ifndef ECONCAST_SIM_EVENT_QUEUE_H
 #define ECONCAST_SIM_EVENT_QUEUE_H
 
@@ -101,6 +129,23 @@ class EventQueue {
   /// events are unaffected.
   void cancel(NodeId node, EventKind kind);
 
+  /// A scoped batch of about `edits` schedule()/cancel()/push() calls (see
+  /// the header comment). top() and pop() throw std::logic_error while it
+  /// is open, and so does opening a second batch on the same queue.
+  class Batch {
+   public:
+    Batch(EventQueue& queue, std::size_t edits);
+    ~Batch();
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    /// True when this batch skips the per-edit sifts and heapifies at close.
+    bool deferred() const noexcept { return queue_.deferred_; }
+
+   private:
+    EventQueue& queue_;
+  };
+
   bool empty() const noexcept { return size() == 0; }
   /// The earliest event. Throws std::logic_error when empty().
   const Event& top() const;
@@ -148,8 +193,11 @@ class EventQueue {
   std::size_t front_source() const noexcept;
   /// Removes the event at heap index `i`.
   void erase_at(std::size_t i);
-  /// Restores heap order around index `i` after its key changed.
+  /// Restores heap order around index `i` after its key changed; a no-op
+  /// inside a deferring batch.
   void fix(std::size_t i);
+  /// Restores heap order over the whole heap, bottom-up.
+  void heapify();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void place(std::size_t i, const Event& event);
@@ -160,6 +208,8 @@ class EventQueue {
   std::size_t lane_live_ = 0;  // events held by the lanes
   std::uint64_t next_seq_ = 0;
   QueueStats stats_;
+  bool batch_open_ = false;
+  bool deferred_ = false;  // the open batch skips sifts until it closes
 };
 
 }  // namespace econcast::sim

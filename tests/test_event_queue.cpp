@@ -2,13 +2,15 @@
 // against a brute-force reference model (including the per-kind lanes that
 // hold monotone durable timers, mixed with out-of-order durable pushes that
 // take the heap), plus the slot contract (durable collisions, in-place
-// schedule, cancel), the live-count size(), reuse after clear(), and the
-// shared reserve_for_nodes capacity policy.
+// schedule, cancel), batches (deferred and immediate, against the same
+// reference), the live-count size(), reuse after clear(), and the shared
+// reserve_for_nodes capacity policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -129,9 +131,21 @@ void expect_outcome(const char* holder, Call call) {
 /// Applies one operation sequence to the queue and to the reference model,
 /// checking after every call that the two agree on throw/no-throw (and the
 /// holder the error names), size(), empty(), top(), every QueueStats field
-/// and every popped event.
+/// and every popped event. Calls may run inside an EventQueue::Batch, where
+/// top() is off limits until the batch closes.
 class DifferentialHarness {
  public:
+  /// Opens a batch announcing `edits`; returns whether it defers sifts.
+  bool open_batch(std::size_t edits) {
+    batch_.emplace(queue_, edits);
+    return batch_->deferred();
+  }
+
+  void close_batch() {
+    batch_.reset();
+    check();
+  }
+
   void push(double time, EventKind kind, NodeId node) {
     expect_outcome(ref_.push(time, kind, node),
                    [&] { queue_.push(time, kind, node); });
@@ -179,11 +193,12 @@ class DifferentialHarness {
     ASSERT_EQ(queue_.stats().pops, ref_.stats().pops);
     ASSERT_EQ(queue_.stats().cancels, ref_.stats().cancels);
     ASSERT_EQ(queue_.stats().peak_live, ref_.stats().peak_live);
-    if (!ref_.empty()) expect_same_event(queue_.top(), ref_.top());
+    if (!ref_.empty() && !batch_) expect_same_event(queue_.top(), ref_.top());
   }
 
   EventQueue queue_;
   ReferenceQueue ref_;
+  std::optional<EventQueue::Batch> batch_;
 };
 
 EventKind random_kind(util::Rng& rng) {
@@ -310,6 +325,55 @@ TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
     for (int k = 0; k < 40 && !q.empty(); ++k) q.pop();
   }
   q.drain_and_compare_stats();
+}
+
+TEST(EventQueueDifferential, BatchesOfMixedEditsMatchReference) {
+  // Random schedule/cancel/push mixes inside batches of varying size,
+  // between pops. Small batches on a large heap sift as they go; large ones
+  // defer to one heapify at close. Either way the pop sequence, top() after
+  // the batch and every QueueStats counter must match the reference.
+  for (const std::uint64_t seed : {2u, 17u, 404u}) {
+    util::Rng rng(seed);
+    DifferentialHarness q;
+    const std::uint64_t n = 96;
+    double now = 0.0;
+    int deferred = 0;
+    int immediate = 0;
+    for (int round = 0; round < 600; ++round) {
+      const std::size_t edits = rng.uniform() < 0.5
+                                    ? rng.uniform_int(4)
+                                    : 8 + rng.uniform_int(120);
+      if (q.open_batch(edits))
+        ++deferred;
+      else
+        ++immediate;
+      for (std::size_t k = 0; k < edits; ++k) {
+        const double r = rng.uniform();
+        const auto node = static_cast<NodeId>(rng.uniform_int(n));
+        const double gap = rng.exponential(1.0) * (r < 0.1 ? 50.0 : 1.0);
+        if (r < 0.45) {
+          q.schedule(now + gap, rng.uniform() < 0.8
+                                    ? EventKind::kTransition
+                                    : EventKind::kEnergyDepleted,
+                     node);
+        } else if (r < 0.85) {
+          q.cancel(node, rng.uniform() < 0.8 ? EventKind::kTransition
+                                             : EventKind::kEnergyDepleted);
+        } else if (r < 0.95) {
+          // A durable timer: the lane when monotone, else the heap.
+          q.push(now + (r < 0.9 ? 1.0 : gap), EventKind::kPacketEnd, node);
+        } else {
+          q.push(now + gap, random_kind(rng), node);
+        }
+      }
+      q.close_batch();
+      for (std::uint64_t k = rng.uniform_int(6); k > 0 && !q.empty(); --k)
+        now = q.pop();
+    }
+    q.drain_and_compare_stats();
+    EXPECT_GT(deferred, 0);
+    EXPECT_GT(immediate, 0);
+  }
 }
 
 // ---------------------------------------------------------- slot contract --
@@ -483,6 +547,26 @@ TEST(EventQueue, ManySimultaneousEventsPopInPushOrder) {
   EventQueue q;
   for (NodeId i = 0; i < 500; ++i) q.push(42.0, EventKind::kTransition, i);
   for (NodeId i = 0; i < 500; ++i) EXPECT_EQ(q.pop().node, i);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, TopAndPopThrowInsideABatch) {
+  EventQueue q;
+  q.schedule(1.0, EventKind::kTransition, 0);
+  for (const std::size_t edits : {std::size_t{0}, std::size_t{500}}) {
+    {
+      const EventQueue::Batch batch(q, edits);
+      EXPECT_EQ(batch.deferred(), edits != 0);
+      q.schedule(0.5, EventKind::kTransition, 1);
+      EXPECT_THROW(q.top(), std::logic_error);
+      EXPECT_THROW(q.pop(), std::logic_error);
+      EXPECT_THROW(EventQueue::Batch(q, 1), std::logic_error);  // nested
+      q.cancel(1, EventKind::kTransition);
+      EXPECT_EQ(q.size(), 1u);
+    }
+    EXPECT_EQ(q.top().node, 0u);  // usable again once the batch closes
+  }
+  EXPECT_EQ(q.pop().time, 1.0);
   EXPECT_TRUE(q.empty());
 }
 

@@ -221,6 +221,18 @@ TEST(ProtocolAdapters, EconCastCountersArePinned) {
                model::homogeneous(16, 10.0, 500.0, 500.0),
                model::Topology::clique(16), /*seed=*/16),
       {52813, 52875, 52813, 45, 32, 4618427400414603457u});
+
+  // A 64-node clique under the fig. 6 guard set-up: every burst toggles
+  // carrier sense at 63 neighbours, so the carrier-toggle re-samples run
+  // in one queue batch while the guard watchdogs are armed.
+  proto::SimConfig guarded = grid;
+  guarded.duration = 5e4;
+  guarded.warmup = 0.4 * guarded.duration;
+  expect_counters(
+      run_spec(protocol::econcast_spec(guarded),
+               model::homogeneous(64, 10.0, 500.0, 500.0),
+               model::Topology::clique(64), /*seed=*/65),
+      {87932, 314740, 87932, 226742, 143, 4595111570838763847u});
 }
 
 TEST(ProtocolAdapters, PandaSimulationMatchesDetailedRun) {
