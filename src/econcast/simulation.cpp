@@ -234,8 +234,10 @@ void Simulation::schedule_transition(NodeId i) {
 void Simulation::resample_toggled() {
   // Transmitters advance via packet-end events; every other node whose
   // carrier sense toggled re-samples. The drained buffer stays valid while
-  // schedule_transition runs (it never drains the channel). On a dense
-  // neighbourhood the queue defers its sifts to one heapify at the end.
+  // schedule_transition runs (it never drains the channel). The batch
+  // announces one edit per toggled node (event_queue.h states the rule in
+  // those units); on a dense neighbourhood the queue defers its sifts to
+  // one heapify at the end.
   const auto& toggled = channel_.drain_toggled();
   const sim::EventQueue::Batch batch(queue_, toggled.size());
   for (const NodeId j : toggled)
@@ -246,8 +248,6 @@ void Simulation::resample_listening_neighbors_nc(NodeId i) {
   if (config_.variant != Variant::kNonCapture) return;
   // λ_lx of eq. (18d) depends on the other-listener count, so listening
   // neighbors must re-sample when node i joins/leaves the listener pool.
-  const sim::EventQueue::Batch batch(
-      queue_, static_cast<std::size_t>(channel_.listening_neighbors(i)));
   for (const std::size_t j : topo_.neighbors(i)) {
     if (state_[j] == NodeState::kListen)
       schedule_transition(static_cast<NodeId>(j));

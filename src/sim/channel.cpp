@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace econcast::sim {
 
@@ -14,26 +13,20 @@ Channel::Channel(const model::Topology& topology, Arena* arena)
       listen_count_(topology.size(), 0, ArenaAllocator<std::uint32_t>(arena)),
       lock_tx_(topology.size(), kNoNode, ArenaAllocator<NodeId>(arena)),
       corrupt_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
-      listeners_(ArenaAllocator<NodeId>(arena)),
-      listener_pos_(topology.size(), kNoNode, ArenaAllocator<NodeId>(arena)),
       rx_head_(topology.size(), kNoNode, ArenaAllocator<NodeId>(arena)),
       rx_next_(topology.size(), kEndOfList, ArenaAllocator<NodeId>(arena)),
-      rx_hits_(ArenaAllocator<NodeId>(arena)),
       toggled_flag_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
       toggled_(ArenaAllocator<NodeId>(arena)),
       drained_(ArenaAllocator<NodeId>(arena)),
       outcome_(arena) {
-  // The listener and toggle sets are bounded by the node count, the packet
-  // outcome and the receiver sort by the max degree; sizing them up front
-  // keeps the hot loop allocation-free.
-  listeners_.reserve(topology.size());
+  // The toggle set and the packet outcome are bounded by the node count and
+  // the max degree; sizing them up front keeps the hot loop allocation-free.
   toggled_.reserve(topology.size());
   drained_.reserve(topology.size());
   std::size_t max_degree = 0;
   for (std::size_t i = 0; i < topology.size(); ++i)
     max_degree = std::max(max_degree, topology.neighbors(i).size());
   outcome_.clean_receivers.reserve(max_degree);
-  rx_hits_.reserve(max_degree);
 }
 
 void Channel::mark_toggled(NodeId node) {
@@ -46,15 +39,8 @@ void Channel::mark_toggled(NodeId node) {
 void Channel::apply_listen_change(NodeId node, bool listening) {
   listening_[node] = listening ? 1 : 0;
   if (listening) {
-    listener_pos_[node] = static_cast<NodeId>(listeners_.size());
-    listeners_.push_back(node);
     for (const std::size_t j : topo_.neighbors(node)) ++listen_count_[j];
   } else {
-    const NodeId last = listeners_.back();
-    listeners_[listener_pos_[node]] = last;
-    listener_pos_[last] = listener_pos_[node];
-    listeners_.pop_back();
-    listener_pos_[node] = kNoNode;
     for (const std::size_t j : topo_.neighbors(node)) --listen_count_[j];
   }
 }
@@ -96,22 +82,13 @@ void Channel::begin_packet(NodeId tx) {
     throw std::logic_error("begin_packet with a packet open");
   // Links the locked receivers, in neighbour order, behind rx_head_[tx].
   NodeId* tail = &rx_head_[tx];
-  const auto lock = [&](std::size_t j) {
-    lock_tx_[j] = tx;
-    corrupt_[j] = 0;
-    *tail = static_cast<NodeId>(j);
-    tail = &rx_next_[j];
-  };
-  const std::vector<std::size_t>& neighbors = topo_.neighbors(tx);
-  if (listeners_.size() < neighbors.size()) {
-    rx_hits_.clear();
-    for (const NodeId j : listeners_)
-      if (can_lock(j) && topo_.adjacent(tx, j)) rx_hits_.push_back(j);
-    std::sort(rx_hits_.begin(), rx_hits_.end());
-    for (const NodeId j : rx_hits_) lock(j);
-  } else {
-    for (const std::size_t j : neighbors)
-      if (can_lock(j)) lock(j);
+  for (const std::size_t j : topo_.neighbors(tx)) {
+    if (listening_[j] && busy_count_[j] == 1 && lock_tx_[j] == kNoNode) {
+      lock_tx_[j] = tx;
+      corrupt_[j] = 0;
+      *tail = static_cast<NodeId>(j);
+      tail = &rx_next_[j];
+    }
   }
   *tail = kEndOfList;
 }

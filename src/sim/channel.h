@@ -12,29 +12,22 @@
 // `listening_neighbors_scan()`, the reference the differential tests compare
 // the incremental count against.
 //
-// Packet bookkeeping costs what the packet's receivers cost, not the
-// transmitter's degree:
-//
-//   * The listening nodes form a dense indexed set (swap-remove, O(1) per
-//     listen change). When that set is smaller than the transmitter's
-//     degree, `begin_packet` walks it with an O(1) adjacency test instead
-//     of scanning every neighbour, then sorts its hits into neighbour
-//     order (ascending, as Topology keeps adjacency lists sorted).
-//   * `begin_packet` records the receivers it locks in a per-transmitter
-//     intrusive list: one head per transmitter and one `next` link per
-//     receiver, O(N) in all, since a listener is locked by at most one
-//     transmitter at a time. `end_packet` walks only that list, re-checking
-//     each lock exactly as a full neighbour scan would (a receiver that
-//     stopped listening mid-packet dropped its lock).
-//
-// Receivers come out in neighbour order, the order that drives the
-// protocol's later RNG draws, so the results equal those of the full scan.
-// Each transmitter has at most one packet open: `begin_packet` with one
-// open, `end_packet` without one and `end_burst` with one open throw.
+// `begin_packet` scans the transmitter's neighbours once and records the
+// receivers it locks in a per-transmitter intrusive list: one head per
+// transmitter and one `next` link per receiver, O(N) in all, since a
+// listener is locked by at most one transmitter at a time. `end_packet`
+// walks only that list, re-checking each lock exactly as a full neighbour
+// scan would (a receiver that stopped listening mid-packet dropped its
+// lock), so ending a packet costs what its receivers cost, not the
+// transmitter's degree. Receivers come out in neighbour order, the order
+// that drives the protocol's later RNG draws, so the results equal those
+// of the full scan. Each transmitter has at most one packet open:
+// `begin_packet` with one open, `end_packet` without one and `end_burst`
+// with one open throw.
 //
 // All per-node storage can be placed in a caller-owned Arena; the channel
-// then allocates nothing after construction (the toggle drain, the packet
-// outcome and the receiver sort refill reusable buffers).
+// then allocates nothing after construction (the toggle drain and the packet
+// outcome refill reusable buffers).
 #ifndef ECONCAST_SIM_CHANNEL_H
 #define ECONCAST_SIM_CHANNEL_H
 
@@ -112,16 +105,11 @@ class Channel {
   static constexpr NodeId kEndOfList = kNoNode - 1;
 
   void mark_toggled(NodeId node);
-  /// Flips the listen bit and maintains the incremental neighbor counts and
-  /// the listener set. Does NOT touch the reception lock — begin_burst's
-  /// implicit listen-drop keeps the (necessarily empty) lock state
-  /// untouched, exactly like the reference semantics.
+  /// Flips the listen bit and maintains the incremental neighbor counts.
+  /// Does NOT touch the reception lock — begin_burst's implicit listen-drop
+  /// keeps the (necessarily empty) lock state untouched, exactly like the
+  /// reference semantics.
   void apply_listen_change(NodeId node, bool listening);
-  /// True when `j` can lock onto a packet of its (only) transmitting
-  /// neighbour now.
-  bool can_lock(std::size_t j) const {
-    return listening_[j] && busy_count_[j] == 1 && lock_tx_[j] == kNoNode;
-  }
 
   const model::Topology& topo_;
   ArenaVector<std::uint8_t> listening_;
@@ -130,14 +118,11 @@ class Channel {
   ArenaVector<std::uint32_t> listen_count_;  // listening neighbors
   ArenaVector<NodeId> lock_tx_;  // which tx this listener decodes (kNoNode none)
   ArenaVector<std::uint8_t> corrupt_;  // current reception overlapped
-  ArenaVector<NodeId> listeners_;      // the listening nodes, unordered
-  ArenaVector<NodeId> listener_pos_;   // node -> index in listeners_
   // The receivers a transmitter's open packet locked, as a list threaded
   // through rx_next_: rx_head_[tx] is kNoNode while no packet is open, and
   // kEndOfList ends a list (an open packet that locked nobody is empty).
   ArenaVector<NodeId> rx_head_;
   ArenaVector<NodeId> rx_next_;
-  ArenaVector<NodeId> rx_hits_;  // scratch: begin_packet's listener-set hits
   ArenaVector<std::uint8_t> toggled_flag_;
   ArenaVector<NodeId> toggled_;
   ArenaVector<NodeId> drained_;  // scratch handed out by drain_toggled()

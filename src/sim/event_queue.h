@@ -30,13 +30,13 @@
 // A `Batch` is a scoped run of schedule()/cancel()/push() calls with no
 // top()/pop() in between (both throw while a batch is open). A dense
 // neighbourhood re-samples every neighbour of a transmitter when the
-// carrier toggles, so the simulator wraps those loops in a batch. The
-// caller announces how many edits the batch will make; the queue alone
-// decides at open whether to defer. A deferring batch keeps the position
-// map exact but leaves the heap unordered, and closing it restores heap
-// order with one bottom-up (Floyd) heapify. The crossover counts key
-// comparisons in the 4-ary heap, with n the heap size at open plus the
-// announced edits (the size it grows to if every edit inserts):
+// carrier toggles, so the simulator wraps that loop in a batch. The caller
+// announces how many edits the batch will make; the queue alone decides at
+// open whether to defer. A deferring batch keeps the position map exact
+// but leaves the heap unordered, and closing it restores heap order with
+// one bottom-up (Floyd) heapify. The crossover counts key comparisons in
+// the 4-ary heap, with n the heap size at open plus the announced edits
+// (the size it grows to if every edit inserts):
 //
 //   * an immediate edit sifts across up to ⌊log₄ n⌋ levels, scanning 4
 //     children per level: 4·⌊log₄ n⌋ comparisons;
@@ -44,16 +44,21 @@
 //     (n comparisons), and its sifts move elements down at most n/3
 //     levels in total (Σ_h h·n·3/4^(h+1)), each a 4-child scan: 4n/3 more.
 //
-// So a batch defers when edits · 4·⌊log₄ n⌋ > 7n/3. A grid node has at
-// most 4 neighbours, and at most 4 edits pass that test only on a heap of
-// at most 2 events. A clique's N − 1 edits pass it on any heap under 37
-// events at N = 16 and under 580 at N = 100. A node has at most two
-// cancellable timers (transition and guard), and most durable ones take a
-// lane, so cliques of 16 or more nodes defer at practically every carrier
-// toggle. Deferring changes the heap's layout, never its (time, seq)
-// order, seq assignment or the QueueStats counters, so the delivered
-// sequence is the same either way. The rule is internal: no configuration
-// selects it.
+// So a batch defers when edits · 4·⌊log₄ n⌋ > 7n/3. The simulator
+// announces one edit per re-sampled node. A node makes up to two queue
+// calls (its guard slot, then its transition slot), and a call on an empty
+// slot moves nothing, so a guarded clique's real edits run up to twice the
+// announcement: the rule charges one sift per node and defers only where
+// the heapify beats even that. Charging two would let a grid node's 4
+// neighbours defer on heaps of up to 19 events. In the announced units, a
+// grid's at most 4 nodes pass the test only on a heap of at most 2 events,
+// and a clique's N − 1 nodes pass it on any heap under 37 events at N = 16
+// and under 580 at N = 100. A node holds at most two cancellable timers
+// (transition and guard), and most durable ones take a lane, so cliques of
+// 16 or more nodes defer at practically every carrier toggle. Deferring
+// changes the heap's layout, never its (time, seq) order, seq assignment
+// or the QueueStats counters, so the delivered sequence is the same either
+// way. The rule is internal: no configuration selects it.
 #ifndef ECONCAST_SIM_EVENT_QUEUE_H
 #define ECONCAST_SIM_EVENT_QUEUE_H
 
@@ -129,9 +134,11 @@ class EventQueue {
   /// events are unaffected.
   void cancel(NodeId node, EventKind kind);
 
-  /// A scoped batch of about `edits` schedule()/cancel()/push() calls (see
-  /// the header comment). top() and pop() throw std::logic_error while it
-  /// is open, and so does opening a second batch on the same queue.
+  /// A scoped batch of schedule()/cancel()/push() calls. `edits` is the
+  /// caller's count of heap edits, charged one sift each by the crossover
+  /// rule of the header comment (the simulator passes the number of nodes
+  /// it re-samples). top() and pop() throw std::logic_error while it is
+  /// open, and so does opening a second batch on the same queue.
   class Batch {
    public:
     Batch(EventQueue& queue, std::size_t edits);
