@@ -48,11 +48,9 @@ double estimate_units(const Scenario& cell) {
   return std::visit(UnitVisitor{n}, cell.protocol.params);
 }
 
-std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch,
+std::vector<std::size_t> cost_submit_order(const std::vector<double>& units,
                                            std::size_t participants) {
-  const std::size_t n = batch.size();
-  std::vector<double> cost(n);
-  for (std::size_t i = 0; i < n; ++i) cost[i] = estimate_units(batch[i]);
+  const std::size_t n = units.size();
 
   // Descending units, ascending index on ties: deterministic for a given
   // batch.
@@ -60,7 +58,7 @@ std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch,
   std::iota(by_cost.begin(), by_cost.end(), 0);
   std::stable_sort(by_cost.begin(), by_cost.end(),
                    [&](std::size_t a, std::size_t b) {
-                     if (cost[a] != cost[b]) return cost[a] > cost[b];
+                     if (units[a] != units[b]) return units[a] > units[b];
                      return a < b;
                    });
 

@@ -150,14 +150,13 @@ std::size_t SweepSession::run(std::size_t limit) {
 
   // Completion-order reorder buffer: `ready` marks cells whose result is
   // final and is only touched on the submitting thread or under the
-  // executor's serialized progress hook; `lines` holds encoded records. A
-  // computed cell's line is encoded on its worker thread; a hit's is
-  // encoded only when it is flushed, and every line is freed once written,
-  // so at most the out-of-order window is held encoded. flush_ready appends
+  // executor's serialized progress hook. flush_ready encodes and appends
   // the ready prefix so the file never has gaps, then reports
-  // session-global progress. The file bytes depend only on cell indices —
-  // never on where a result came from (cache or execution) or what order
-  // the executor finished in.
+  // session-global progress. Lines are encoded only as they are written:
+  // a cell completed far ahead of the flush frontier holds its result, not
+  // an encoded copy too. The file bytes depend only on cell indices — never
+  // on where a result came from (cache or execution) or what order the
+  // executor finished in.
   std::vector<char> ready(todo, 0);
   std::vector<std::size_t> misses;  // local indices
   for (std::size_t local = 0; local < todo; ++local) {
@@ -166,16 +165,12 @@ std::size_t SweepSession::run(std::size_t limit) {
     else
       misses.push_back(local);
   }
-  std::vector<std::string> lines(todo);
   std::size_t next_flush = 0;
   const auto flush_ready = [&] {
     while (next_flush < todo && ready[next_flush]) {
       const std::size_t local = next_flush;
-      std::string& line = lines[local];
-      if (line.empty()) line = record_line(offset + local, *results[local]);
+      out << record_line(offset + local, *results[local]);
       completed_.push_back(std::move(*results[local]));
-      out << line;
-      std::string().swap(line);
       if (!out.flush())
         throw std::runtime_error("write to results file '" + results_path_ +
                                  "' failed");
@@ -199,18 +194,17 @@ std::size_t SweepSession::run(std::size_t limit) {
 
   // Submission k runs miss order[k]: longest expected first, dealt over the
   // participants parallel_for seeds (cost_model.h).
-  std::vector<Scenario> pending;
-  pending.reserve(misses.size());
+  std::vector<double> units;
+  units.reserve(misses.size());
   for (const std::size_t local : misses)
-    pending.push_back(batch_[offset + local]);
+    units.push_back(estimate_units(batch_[offset + local]));
   const std::vector<std::size_t> order = cost_submit_order(
-      pending, executor.participants(misses.size(), threads));
+      units, executor.participants(misses.size(), threads));
 
-  // Each task claims, computes, publishes, releases and encodes its own
-  // cell, writing only that cell's slots; the serialized hook just marks it
-  // ready and appends. A cell another worker holds (or has published since
-  // the probe) is deferred: it stays not-ready, so the flush stops in front
-  // of it.
+  // Each task claims, computes, publishes and releases its own cell,
+  // writing only that cell's slots; the serialized hook marks it ready and
+  // appends. A cell another worker holds (or has published since the probe)
+  // is deferred: it stays not-ready, so the flush stops in front of it.
   std::vector<char> claimed(misses.size(), 0);
   std::vector<char> deferred(misses.size(), 0);
   const auto task = [&](std::size_t k) {
@@ -241,7 +235,6 @@ std::size_t SweepSession::run(std::size_t limit) {
         claimed[i] = 0;
       }
     }
-    lines[misses[i]] = record_line(g, run.result);
     results[misses[i]] = std::move(run.result);
   };
   const auto progress = [&](const exec::TaskProgress& p) {
@@ -254,8 +247,10 @@ std::size_t SweepSession::run(std::size_t limit) {
     executor.parallel_for(order.size(), task, threads, progress);
   } catch (...) {
     for (std::size_t i = 0; i < misses.size(); ++i)
-      if (claimed[i])
-        cache->release(pending[i], cell_seed(offset + misses[i]));
+      if (claimed[i]) {
+        const std::size_t g = offset + misses[i];
+        cache->release(batch_[g], cell_seed(g));
+      }
     throw;
   }
   deferred_ = static_cast<std::size_t>(

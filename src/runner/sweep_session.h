@@ -12,13 +12,14 @@
 //
 // Thread division. run() drives exec::Executor itself, in two
 // parallel_for batches: a probe pass over the pending cells, then the
-// misses. Each miss task claims, computes (runner::run_scenario), publishes,
-// releases and encodes its own cell on its own thread, so cells complete in
-// any order. The executor's serialized progress hook only marks the cell
-// ready and appends the ready prefix of already-encoded lines in index
-// order (a cache hit's line is encoded when it is appended), so a crash
-// never loses more than the cells still in flight and no cache or encoding
-// work waits behind the hook's lock.
+// misses. Each miss task claims, computes (runner::run_scenario), publishes
+// and releases its own cell on its own thread, so cells complete in any
+// order. The executor's serialized progress hook marks the cell ready and
+// encodes and appends the ready prefix in index order, so a crash never
+// loses more than the cells still in flight and no cache work waits behind
+// the hook's lock. Lines are encoded only as they are appended: a cell that
+// completes far ahead of the flush frontier holds its result, never an
+// encoded copy besides.
 //
 // Three throughput layers sit on top (all output-invisible by construction):
 //  - A content-addressed CellCache (cell_cache.h). Before submitting the

@@ -1,6 +1,8 @@
 // Tests for the sweep throughput layer: the content-addressed CellCache
 // (hit/miss/rejected/publish accounting, tamper and truncation rejection,
-// epoch isolation, concurrent publish, gc/scan), its per-cell claims
+// epoch isolation, concurrent publish, gc/scan, writers sharing one
+// directory, a seeded mutation test of the segment reader), its per-cell
+// claims
 // (exclusive acquire across threads, staleness, malformed claim files), the
 // cost model's units and LPT submission order (and its deal across the
 // executor's participants), ScenarioRunner::run_with_seeds seed-count
@@ -35,6 +37,7 @@
 #include "runner/scenario_runner.h"
 #include "runner/sweep_session.h"
 #include "scoped_temp_dir.h"
+#include "util/json.h"
 
 namespace {
 
@@ -70,15 +73,42 @@ runner::SweepManifest small_manifest() {
       /*seed=*/7, true);
 }
 
-/// All entry files currently in a cache directory, path-sorted so tests can
-/// sabotage deterministic victims.
-std::vector<fs::path> entry_files(const fs::path& cache_dir) {
+/// All segment files currently in a cache directory, path-sorted.
+std::vector<fs::path> segment_files(const fs::path& cache_dir) {
   std::vector<fs::path> files;
-  for (const auto& e : fs::recursive_directory_iterator(cache_dir))
-    if (e.is_regular_file() && e.path().extension() == ".jsonl")
+  for (const auto& e : fs::directory_iterator(cache_dir / "seg"))
+    if (e.is_regular_file() && e.path().extension() == ".seg")
       files.push_back(e.path());
   std::sort(files.begin(), files.end());
   return files;
+}
+
+/// `text` split after each '\n'; a torn tail is the last element.
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t nl = text.find('\n', start);
+    const std::size_t end = nl == std::string::npos ? text.size() : nl + 1;
+    lines.push_back(text.substr(start, end - start));
+    start = end;
+  }
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line;
+  return text;
+}
+
+/// A line's digest and the space after it.
+constexpr std::size_t kLinePrefix = 65;
+
+std::vector<double> units_of(const std::vector<runner::Scenario>& cells) {
+  std::vector<double> units;
+  for (const runner::Scenario& cell : cells)
+    units.push_back(runner::estimate_units(cell));
+  return units;
 }
 
 // ------------------------------------------------------------ cache keys --
@@ -102,10 +132,10 @@ TEST(CellCache, KeyIgnoresNameAndSeparatesSeeds) {
             cache.entry_path(cache.cell_key(cells[1], 42)));
   EXPECT_NE(cache.entry_path(cache.cell_key(cells[0], 42)),
             cache.entry_path(cache.cell_key(cells.back(), 42)));
-  // <dir>/<2 hex>/<64 hex>.jsonl.
+  // <dir>/<2 hex>/<64 hex>: the digest path claims hang off.
   const std::string path = cache.entry_path(cache.cell_key(cells[0], 42));
   const std::string tail = path.substr((dir / "cache").string().size());
-  EXPECT_EQ(tail.size(), 1 + 2 + 1 + 64 + 6);
+  EXPECT_EQ(tail.size(), 1 + 2 + 1 + 64);
   EXPECT_EQ(tail.substr(1, 2), tail.substr(4, 2));
 }
 
@@ -120,7 +150,7 @@ TEST(CellCache, ForeignEpochIsADisjointNamespace) {
   EXPECT_EQ(old_epoch.stats().publishes, 1u);
   EXPECT_TRUE(old_epoch.probe(cells[0], 42).hit);
 
-  // The current epoch hashes to a different path entirely: a clean miss,
+  // The current epoch hashes to a different digest entirely: a clean miss,
   // not a rejection — stale epochs can never collide with live entries.
   runner::CellCache current((dir / "cache").string());
   EXPECT_FALSE(current.probe(cells[0], 42).hit);
@@ -136,10 +166,10 @@ TEST(CellCache, ConcurrentPublishersOfOneCellNeverTearTheEntry) {
   protocol::SimResult result;
   result.groupput = 0.125;
 
-  // All writers publish identical bytes (same cell, same wall_ms). Every
-  // publish gets its own temp file (pid + process-wide sequence), so rival
-  // threads — sharing one CellCache or each holding their own — never race
-  // on a temp name: every publish must land, and the entry is never torn.
+  // All writers publish identical bytes (same cell, same wall_ms). Each
+  // CellCache instance appends to its own segment under its own mutex, so
+  // rival threads — sharing one CellCache or each holding their own —
+  // never interleave within a line: every publish must land, complete.
   std::atomic<int> failed{0};
   runner::CellCache shared(cache_dir);
   std::vector<std::thread> writers;
@@ -159,18 +189,24 @@ TEST(CellCache, ConcurrentPublishersOfOneCellNeverTearTheEntry) {
   EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(shared.stats().publishes, 4u * 25u);
 
-  // One entry, valid, with the agreed result bytes; no leftover temp files.
-  runner::CellCache reader(cache_dir);
-  const runner::CellCache::Probe probe = reader.probe(cells[0], 42);
-  ASSERT_TRUE(probe.hit);
-  EXPECT_EQ(probe.result.groupput, 0.125);
+  // One segment per publishing instance (the shared one and four own
+  // ones), every line complete and parsable; nothing else on disk.
+  const runner::CellCache::DirStats stats = runner::CellCache::scan(cache_dir);
+  EXPECT_EQ(stats.segments, 5u);
+  EXPECT_EQ(stats.entries, 8u * 25u);
+  EXPECT_EQ(stats.torn_lines, 0u);
+  EXPECT_EQ(stats.entries_by_protocol.at(cells[0].protocol.name), 8u * 25u);
   std::size_t files = 0;
   for (const auto& e : fs::recursive_directory_iterator(cache_dir))
     if (e.is_regular_file()) {
       ++files;
-      EXPECT_EQ(e.path().extension(), ".jsonl") << e.path();
+      EXPECT_EQ(e.path().extension(), ".seg") << e.path();
     }
-  EXPECT_EQ(files, 1u);
+  EXPECT_EQ(files, 5u);
+  runner::CellCache reader(cache_dir);
+  const runner::CellCache::Probe probe = reader.probe(cells[0], 42);
+  ASSERT_TRUE(probe.hit);
+  EXPECT_EQ(probe.result.groupput, 0.125);
 }
 
 TEST(CellCache, ScanAndGcAccountForEntries) {
@@ -184,7 +220,9 @@ TEST(CellCache, ScanAndGcAccountForEntries) {
     cache.publish(cells[i], 100 + i, result, 2.5);
 
   const auto stats = runner::CellCache::scan(cache_dir);
+  EXPECT_EQ(stats.segments, 1u);
   EXPECT_EQ(stats.entries, 4u);
+  EXPECT_EQ(stats.torn_lines, 0u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_DOUBLE_EQ(stats.total_wall_ms, 10.0);
   std::size_t by_protocol = 0;
@@ -200,6 +238,183 @@ TEST(CellCache, ScanAndGcAccountForEntries) {
   EXPECT_EQ(runner::CellCache::scan(cache_dir).entries, 0u);
   EXPECT_EQ(runner::CellCache::gc((dir / "nope").string(), 0).entries_before,
             0u);
+}
+
+// ------------------------------------------------- writers on one directory --
+
+protocol::SimResult sample_result(std::size_t i) {
+  protocol::SimResult result;
+  result.measured_window = 1000.0 + static_cast<double>(i);
+  result.groupput = 0.125 * static_cast<double>(i + 1);
+  result.anyput = 0.0625 / static_cast<double>(i + 1);
+  result.avg_power = {1.5, 2.25 + static_cast<double>(i)};
+  result.packets_sent = 40 + i;
+  result.packets_received = 17 * i;
+  result.extras["events_processed"] = 12345.0 + static_cast<double>(i);
+  return result;
+}
+
+std::string result_bytes(const protocol::SimResult& result) {
+  return util::json::dump(protocol::to_json(result));
+}
+
+TEST(CellCache, WritersSeeEachOthersEntriesAndTornTails) {
+  const ScopedTempDir temp;
+  const std::string cache_dir = (temp.path() / "cache").string();
+  const auto cells = small_manifest().spec.expand();
+  runner::CellCache a(cache_dir);
+  runner::CellCache b(cache_dir);
+
+  // B misses; A publishes; B's claim then sees A's entry, and so does its
+  // next probe.
+  EXPECT_FALSE(b.probe(cells[0], 7).hit);
+  a.publish(cells[0], 7, sample_result(0), 1.0);
+  EXPECT_FALSE(b.try_claim(cells[0], 7));
+  const runner::CellCache::Probe hit = b.probe(cells[0], 7);
+  ASSERT_TRUE(hit.hit);
+  EXPECT_EQ(result_bytes(hit.result), result_bytes(sample_result(0)));
+
+  // A's next line is only half on disk: a torn tail, rejected, not served.
+  a.publish(cells[4], 7, sample_result(4), 1.0);
+  const std::vector<fs::path> segments = segment_files(cache_dir);
+  ASSERT_EQ(segments.size(), 1u);
+  const std::string full = slurp(segments[0]);
+  const std::vector<std::string> lines = split_lines(full);
+  ASSERT_EQ(lines.size(), 2u);
+  const std::size_t cut = lines[0].size() + lines[1].size() / 2;
+  fs::resize_file(segments[0], cut);
+  EXPECT_FALSE(b.probe(cells[4], 7).hit);
+  EXPECT_EQ(runner::CellCache::scan(cache_dir).torn_lines, 1u);
+
+  // Once its writer appends the rest of the line, it is served.
+  {
+    std::ofstream out(segments[0], std::ios::binary | std::ios::app);
+    out << full.substr(cut);
+  }
+  const runner::CellCache::Probe healed = b.probe(cells[4], 7);
+  ASSERT_TRUE(healed.hit);
+  EXPECT_EQ(result_bytes(healed.result), result_bytes(sample_result(4)));
+  EXPECT_EQ(runner::CellCache::scan(cache_dir).torn_lines, 0u);
+
+  const runner::CellCache::Stats stats = b.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.publishes, 0u);
+}
+
+/// Knuth's MMIX LCG: a fixed, in-tree stream of mutation choices.
+class Lcg {
+ public:
+  explicit Lcg(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t next() {
+    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state_ >> 33;
+  }
+  std::size_t below(std::size_t n) { return n == 0 ? 0 : next() % n; }
+
+ private:
+  std::uint64_t state_;
+};
+
+/// Offsets at which the lines of `text` start.
+std::vector<std::size_t> line_starts(const std::string& text) {
+  std::vector<std::size_t> starts;
+  for (std::size_t at = 0; at < text.size();) {
+    starts.push_back(at);
+    const std::size_t nl = text.find('\n', at);
+    at = nl == std::string::npos ? text.size() : nl + 1;
+  }
+  return starts;
+}
+
+void mutate(std::string& bytes, Lcg& rng) {
+  if (bytes.empty()) return;
+  switch (rng.below(5)) {
+    case 0:  // truncate at a random offset
+      bytes.resize(rng.below(bytes.size()));
+      break;
+    case 1:  // flip a byte
+      bytes[rng.below(bytes.size())] ^= static_cast<char>(1 + rng.below(255));
+      break;
+    case 2:  // splice in a '\n'
+      bytes.insert(rng.below(bytes.size() + 1), 1, '\n');
+      break;
+    case 3: {  // duplicate a line
+      const std::vector<std::size_t> starts = line_starts(bytes);
+      const std::size_t k = rng.below(starts.size());
+      const std::size_t end =
+          k + 1 < starts.size() ? starts[k + 1] : bytes.size();
+      const std::string line = bytes.substr(starts[k], end - starts[k]);
+      bytes.insert(end, line);
+      break;
+    }
+    default: {  // corrupt a digest prefix
+      const std::vector<std::size_t> starts = line_starts(bytes);
+      const std::size_t at = starts[rng.below(starts.size())] + rng.below(65);
+      if (at < bytes.size()) bytes[at] = "0123456789abcdefg \n"[rng.below(19)];
+      break;
+    }
+  }
+}
+
+TEST(CellCache, MutatedSegmentsProbeAsHitsMissesOrRejections) {
+  // The segment reader on hostile bytes: a valid multi-entry segment goes
+  // through a few hundred seeded mutations (truncations, flipped bytes,
+  // spliced newlines, duplicated lines, corrupted digests). A fresh cache
+  // over each must answer every probe with a hit serving the exact bytes
+  // published, a miss or a rejection — never a throw or other bytes.
+  const ScopedTempDir temp;
+  const auto cells = small_manifest().spec.expand();
+  constexpr std::size_t kCells = 8;
+  ASSERT_GE(cells.size(), kCells);
+  const std::string source_dir = (temp.path() / "source").string();
+  {
+    runner::CellCache writer(source_dir);
+    for (std::size_t i = 0; i < kCells; ++i)
+      writer.publish(cells[i], 100 + i, sample_result(i), 1.0);
+  }
+  const std::vector<fs::path> sources = segment_files(source_dir);
+  ASSERT_EQ(sources.size(), 1u);
+  const std::string original = slurp(sources[0]);
+
+  Lcg rng(20161004);
+  std::size_t hits = 0, misses = 0, rejected = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string bytes = original;
+    for (std::size_t m = 1 + rng.below(3); m > 0; --m) mutate(bytes, rng);
+    const fs::path dir = temp.path() / ("round-" + std::to_string(round));
+    fs::create_directories(dir / "seg");
+    spit(dir / "seg" / "fuzz.1.0.seg", bytes);
+
+    runner::CellCache cache(dir.string());
+    for (std::size_t i = 0; i < kCells; ++i) {
+      SCOPED_TRACE("round " + std::to_string(round) + " cell " +
+                   std::to_string(i));
+      const runner::CellCache::Stats before = cache.stats();
+      runner::CellCache::Probe probe;
+      ASSERT_NO_THROW(probe = cache.probe(cells[i], 100 + i));
+      const runner::CellCache::Stats after = cache.stats();
+      const std::size_t outcomes = (after.hits - before.hits) +
+                                   (after.misses - before.misses) +
+                                   (after.rejected - before.rejected);
+      ASSERT_EQ(outcomes, 1u);
+      EXPECT_EQ(probe.hit, after.hits > before.hits);
+      if (probe.hit) {
+        EXPECT_EQ(result_bytes(probe.result), result_bytes(sample_result(i)));
+      }
+    }
+    const runner::CellCache::Stats stats = cache.stats();
+    hits += stats.hits;
+    misses += stats.misses;
+    rejected += stats.rejected;
+    ASSERT_NO_THROW((void)runner::CellCache::scan(dir.string()));
+    fs::remove_all(dir);
+  }
+  // Every outcome occurs, so the mutations reach each path.
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ------------------------------------------------------------ claims --
@@ -266,7 +481,12 @@ TEST(CellClaim, PublishedCellsAreNotClaimedButInvalidEntriesAre) {
   cache.publish(cells[0], 7, protocol::SimResult{}, 1.0);
   EXPECT_FALSE(cache.try_claim(cells[0], 7));
   EXPECT_FALSE(fs::exists(path));
-  spit(cache.entry_path(cache.cell_key(cells[0], 7)), "torn");
+  // Garble the entry in place, keeping its digest and its length.
+  const std::vector<fs::path> segments = segment_files(cache_dir);
+  ASSERT_EQ(segments.size(), 1u);
+  std::string text = slurp(segments[0]);
+  std::fill(text.begin() + kLinePrefix, text.end() - 1, 'x');
+  spit(segments[0], text);
   EXPECT_TRUE(cache.try_claim(cells[0], 7));
   cache.release(cells[0], 7);
   const runner::CellCache::Stats stats = cache.stats();
@@ -440,28 +660,29 @@ TEST(CellCache, SabotagedEntriesAreRejectedAndRecomputed) {
   cold.run();
   const std::string reference = slurp(dir / "cold.jsonl");
 
-  // Sabotage four entries four ways: garbage bytes, truncation mid-line, a
-  // tampered key (seed edited in place) and a tampered epoch field.
-  const std::vector<fs::path> victims = entry_files(cache_dir);
-  ASSERT_EQ(victims.size(), 16u);
-  spit(victims[0], "not json at all\n");
-  spit(victims[1], slurp(victims[1]).substr(0, 40));
-  const std::string tampered_key = victims[2].string();
+  // Sabotage four lines of the segment four ways, each keeping its digest:
+  // garbage bytes, truncation mid-line, a tampered key (seed edited in
+  // place) and a tampered epoch field.
+  const std::vector<fs::path> segments = segment_files(cache_dir);
+  ASSERT_EQ(segments.size(), 1u);
+  std::vector<std::string> lines = split_lines(slurp(segments[0]));
+  ASSERT_EQ(lines.size(), 16u);
+  lines[0] = lines[0].substr(0, kLinePrefix) + "not json at all\n";
+  lines[1] = lines[1].substr(0, kLinePrefix + 40) + "\n";
   {
-    std::string text = slurp(victims[2]);
+    std::string& text = lines[2];
     const auto pos = text.find("\"seed\":\"");
     ASSERT_NE(pos, std::string::npos);
     text[pos + 8] = text[pos + 8] == '9' ? '8' : '9';
-    spit(victims[2], text);
   }
   {
-    std::string text = slurp(victims[3]);
+    std::string& text = lines[3];
     const auto pos = text.find(runner::kCacheEpoch);
     ASSERT_NE(pos, std::string::npos);
     text.replace(pos, std::string(runner::kCacheEpoch).size(),
                  "econcast-epoch-X");
-    spit(victims[3], text);
   }
+  spit(segments[0], join_lines(lines));
 
   options.cache = std::make_shared<runner::CellCache>(cache_dir);
   runner::SweepSession rerun(manifest, (dir / "rerun.jsonl").string(),
@@ -478,6 +699,7 @@ TEST(CellCache, SabotagedEntriesAreRejectedAndRecomputed) {
   runner::SweepSession warm(manifest, (dir / "warm.jsonl").string(), options);
   warm.run();
   EXPECT_EQ(options.cache->stats().hits, 16u);
+  EXPECT_EQ(options.cache->stats().rejected, 0u);
   EXPECT_EQ(reference, slurp(dir / "warm.jsonl"));
 }
 
@@ -531,18 +753,20 @@ TEST(CostModel, LptOrderIsADeterministicPermutationByUnits) {
 
   for (const std::size_t participants : {0u, 1u, 3u, 4u, 7u}) {
     const std::vector<std::size_t> order =
-        runner::cost_submit_order(cells, participants);
+        runner::cost_submit_order(units_of(cells), participants);
     ASSERT_EQ(order.size(), cells.size());
     std::vector<std::size_t> sorted = order;
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i)
       EXPECT_EQ(sorted[i], i) << "participants=" << participants;
-    EXPECT_EQ(order, runner::cost_submit_order(cells, participants));
+    EXPECT_EQ(order,
+              runner::cost_submit_order(units_of(cells), participants));
   }
 
   // With one participant the order is exactly descending units, ties by
   // ascending index.
-  const std::vector<std::size_t> lpt = runner::cost_submit_order(cells, 1);
+  const std::vector<std::size_t> lpt =
+      runner::cost_submit_order(units_of(cells), 1);
   for (std::size_t k = 1; k < lpt.size(); ++k) {
     const double prev = runner::estimate_units(cells[lpt[k - 1]]);
     const double cur = runner::estimate_units(cells[lpt[k]]);
@@ -568,7 +792,8 @@ TEST(CostModel, DealHeadsEveryExecutorParticipantWithAHeavyCell) {
   // chunks of 5, each headed by one of the two heaviest cells.
   exec::Executor executor(1);
   ASSERT_EQ(executor.participants(cells.size(), 8), 2u);
-  const std::vector<std::size_t> order = runner::cost_submit_order(cells, 2);
+  const std::vector<std::size_t> order =
+      runner::cost_submit_order(units_of(cells), 2);
   EXPECT_EQ(order[0], 9u);
   EXPECT_EQ(order[5], 8u);
 

@@ -739,14 +739,23 @@ TEST(SweepSession, CachedRunsOnFourWorkersAreByteIdenticalWithExactStats) {
   EXPECT_EQ(run_checked(manifest, dir / "warm.jsonl", options), reference);
   expect_exact_stats(*options.cache, cells, cells);
 
-  // Half warm: drop every odd cell's entry, so hits and computed cells
-  // interleave in the reorder buffer; the dropped ones republish.
+  // Half warm: a cache holding only the even cells' entries, copied from
+  // the warm one, so hits and computed cells interleave in the reorder
+  // buffer; the odd ones publish.
   const std::vector<runner::Scenario> batch = manifest.spec.expand();
-  for (std::size_t i = 1; i < cells; i += 2) {
-    const std::uint64_t seed = runner::manifest_cell_seed(manifest, batch[i], i);
-    fs::remove(options.cache->entry_path(options.cache->cell_key(batch[i], seed)));
+  const std::string half_dir = (dir / "half-cache").string();
+  {
+    runner::CellCache half(half_dir);
+    for (std::size_t i = 0; i < cells; i += 2) {
+      const std::uint64_t seed =
+          runner::manifest_cell_seed(manifest, batch[i], i);
+      const runner::CellCache::Probe probe =
+          options.cache->probe(batch[i], seed);
+      ASSERT_TRUE(probe.hit);
+      half.publish(batch[i], seed, probe.result, 1.0);
+    }
   }
-  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  options.cache = std::make_shared<runner::CellCache>(half_dir);
   EXPECT_EQ(run_checked(manifest, dir / "half.jsonl", options), reference);
   expect_exact_stats(*options.cache, cells, cells / 2);
 }

@@ -21,7 +21,7 @@
 // Distributed sweeps: any number of processes, on any hosts, run the same
 // manifest with one shared --cache directory and a --results file each.
 // Every worker claims each cell right before computing it (a .claim file
-// beside the cell's cache entry), publishes it, and releases the claim;
+// named by the cell's key digest), publishes it, and releases the claim;
 // cells another live worker holds or has already published are skipped. A
 // claim whose process is gone (same host) or that is --lease seconds old is
 // taken over. Once no worker is left, running the command once more is a
@@ -103,9 +103,9 @@ double telemetry_now_s() {
       "  --quiet         suppress the completion summary\n"
       "  --dry-run       parse + validate the manifest, print the cell\n"
       "                  count and axes, execute nothing\n"
-      "  cache-stats     print entry count, bytes and per-protocol\n"
-      "                  breakdown of a cache directory\n"
-      "  cache-gc        delete oldest entries until the cache directory\n"
+      "  cache-stats     print entry count, bytes, per-protocol breakdown,\n"
+      "                  segment count and torn lines of a cache directory\n"
+      "  cache-gc        delete oldest segments until the cache directory\n"
       "                  is within --max-bytes\n"
       "\n"
       "exit codes: 0 ok, 1 runtime failure or cells left to other\n"
@@ -208,6 +208,8 @@ int cache_stats_main(int argc, char** argv) {
     std::printf("  %-14s %zu entries\n", name.c_str(), count);
   std::printf("recorded compute: %.3f s of cell wall clock\n",
               stats.total_wall_ms / 1000.0);
+  std::printf("segments: %zu, torn lines: %zu\n", stats.segments,
+              stats.torn_lines);
   return kExitOk;
 }
 
