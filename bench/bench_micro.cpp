@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "econcast/rates.h"
 #include "econcast/simulation.h"
 #include "gibbs/exact.h"
 #include "gibbs/p4_solver.h"
@@ -247,37 +246,6 @@ void BM_EventQueueTimerLanes(benchmark::State& state) {
   state.SetLabel("N=" + std::to_string(n));
 }
 BENCHMARK(BM_EventQueueTimerLanes)->Arg(64)->Arg(256);
-
-// The eager rate-memo row refill against the per-call path it replaced:
-// one η update's worth of listen_to_transmit exponentials for a fig. 6
-// N = 64 neighborhood (width = N + 1 counts). Arg 1 = 0 benches width
-// separate listen_to_transmit calls (the reference expression), 1 benches
-// fill_listen_to_transmit_row (hoisted invariants, 1-2 exp calls for the
-// count-independent variants). Both produce bit-identical rows.
-void BM_MemoRefill(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const bool batched = state.range(1) != 0;
-  const proto::RateController rates(500.0, 500.0, 0.25,
-                                    proto::Variant::kNonCapture,
-                                    model::Mode::kGroupput);
-  const double eta = 0.003;
-  std::vector<double> row(width);
-  for (auto _ : state) {
-    if (batched) {
-      rates.fill_listen_to_transmit_row(eta, row.data(), width);
-    } else {
-      for (std::size_t c = 0; c < width; ++c)
-        row[c] = rates.listen_to_transmit(eta, static_cast<double>(c), true);
-    }
-    benchmark::DoNotOptimize(row.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(width));
-  state.SetLabel(std::string(batched ? "row-refill" : "per-call") +
-                 " width=" + std::to_string(width));
-}
-BENCHMARK(BM_MemoRefill)->ArgsProduct({{65, 101}, {0, 1}});
 
 void BM_SimulatorEvents(benchmark::State& state) {
   const auto nodes = model::homogeneous(5, 10.0, 500.0, 500.0);

@@ -54,29 +54,6 @@ double RateController::listen_to_transmit(double eta, double listener_count,
   return safe_exp(exponent);
 }
 
-void RateController::fill_listen_to_transmit_row(
-    double eta, double* row, std::size_t width) const noexcept {
-  // The same exponent expressions as listen_to_transmit above, with the
-  // count-invariant base hoisted; entry c must stay bit-identical to
-  // listen_to_transmit(eta, c, true).
-  const double base = eta * (listen_power_ - transmit_power_) / sigma_;
-  if (variant_ != Variant::kNonCapture) {
-    // (18c): the capture entry rate carries no listener-count term.
-    const double rate = safe_exp(base);
-    for (std::size_t c = 0; c < width; ++c) row[c] = rate;
-  } else if (mode_ != model::Mode::kGroupput) {
-    // Anyput drives with 1{c > 0}: the row holds two distinct values.
-    if (width > 0) row[0] = safe_exp(base + 0.0 / sigma_);
-    if (width > 1) {
-      const double active = safe_exp(base + 1.0 / sigma_);
-      for (std::size_t c = 1; c < width; ++c) row[c] = active;
-    }
-  } else {
-    for (std::size_t c = 0; c < width; ++c)
-      row[c] = safe_exp(base + static_cast<double>(c) / sigma_);
-  }
-}
-
 double RateController::transmit_to_listen(double listener_count) const noexcept {
   if (variant_ == Variant::kNonCapture) return 1.0;  // (18f)
   return safe_exp(-effective_estimate(listener_count) / sigma_);  // (18e)

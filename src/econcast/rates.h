@@ -9,8 +9,6 @@
 #ifndef ECONCAST_ECONCAST_RATES_H
 #define ECONCAST_ECONCAST_RATES_H
 
-#include <cstddef>
-
 #include "model/state_space.h"
 
 namespace econcast::proto {
@@ -41,16 +39,6 @@ class RateController {
   /// listeners; it only matters for the non-capture variant.
   double listen_to_transmit(double eta, double listener_count,
                             bool channel_idle) const noexcept;
-
-  /// Fills row[c] = listen_to_transmit(eta, c, /*channel_idle=*/true) for
-  /// every count c in [0, width) — the eager batch refill behind the
-  /// optimized hot path's rate memo. The count-invariant exponent term is
-  /// hoisted out of the loop and the count-independent variants collapse to
-  /// one or two exp() calls, but every entry is produced by the exact
-  /// expression the per-call path evaluates, so the row is bit-identical to
-  /// width separate listen_to_transmit calls.
-  void fill_listen_to_transmit_row(double eta, double* row,
-                                   std::size_t width) const noexcept;
 
   /// λ_xl, eqs. (18e)/(18f). `listener_count` is the number of listeners the
   /// transmitter observed (pings).

@@ -71,11 +71,7 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
   transmit_time_.assign(n, 0.0);
   eta_.assign(n, 0.0);
   wake_rate_.assign(n, 0.0);
-  std::size_t max_degree = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    max_degree = std::max(max_degree, topo_.neighbors(i).size());
-  tx_rate_width_ = max_degree + 1;
-  tx_rate_.assign(n * tx_rate_width_, 0.0);  // rows filled by refresh_eta
+  tx_rate_.assign(n, 0.0);
   energy_.reserve(n);
   burst_rx_flag_.assign(n, 0);
   burst_rx_list_.reserve(n);
@@ -104,14 +100,7 @@ int Simulation::observed_listeners(NodeId i) const {
 void Simulation::refresh_eta(NodeId i) {
   eta_[i] = nodes_rt_[i].multiplier.eta();
   wake_rate_[i] = rates_[i].sleep_to_listen(eta_[i], true);
-  // Eager batch refill: one contiguous pass over the node's memo row per η
-  // update replaces the old invalidate-then-lazily-recompute scheme, so the
-  // hot-loop query below is a plain load with no staleness check. The row
-  // entries are the exact per-call expressions (see
-  // RateController::fill_listen_to_transmit_row), so results are unchanged.
-  rates_[i].fill_listen_to_transmit_row(
-      eta_[i], tx_rate_.data() + static_cast<std::size_t>(i) * tx_rate_width_,
-      tx_rate_width_);
+  tx_rate_[i] = rates_[i].listen_to_transmit(eta_[i], 0.0, true);
 }
 
 double Simulation::wake_rate(NodeId i, bool idle) {
@@ -120,9 +109,8 @@ double Simulation::wake_rate(NodeId i, bool idle) {
 
 double Simulation::listen_tx_rate(NodeId i, bool idle) {
   if (!idle) return 0.0;
-  const int count = observed_listeners(i);
-  return tx_rate_[static_cast<std::size_t>(i) * tx_rate_width_ +
-                  static_cast<std::size_t>(count)];
+  if (config_.variant == Variant::kCapture) return tx_rate_[i];
+  return rates_[i].listen_to_transmit(eta_[i], observed_listeners(i), true);
 }
 
 void Simulation::occupancy_advance() {

@@ -11,8 +11,10 @@
 // Hot-path layout: the per-node fields the inner loops touch on every event
 // (state, state_since, the η mirror, the energy balance) live in parallel
 // arrays backed by a per-scenario bump arena, not in the per-node struct.
-// Listener counts come from the channel's incremental per-node counts, and
-// the rate exponentials are memoized per node between η updates.
+// The rate state is sized by what the variant reads: λ_sl and capture's λ_lx
+// depend on η alone, so each is one exponential per node, refreshed on η
+// updates; non-capture's λ_lx also reads the listener count (the channel's
+// incremental per-node count) and is evaluated per query.
 #ifndef ECONCAST_ECONCAST_SIMULATION_H
 #define ECONCAST_ECONCAST_SIMULATION_H
 
@@ -168,11 +170,9 @@ class Simulation {
   // Estimation.
   int observed_listeners(sim::NodeId i) const;
 
-  // Rate evaluation. λ_sl and λ_lx are exponentials of expressions that only
-  // change when η or the listener count changes, so they are served from
-  // per-node memos refreshed on η updates. The memo entries are produced by
-  // the exact RateController expressions, so the memoized rates are
-  // bit-equal to evaluating them inline.
+  // Rate evaluation (the rate-state layout is in the file comment). The
+  // memos hold the exact RateController expressions, so the memoized rates
+  // are bit-equal to evaluating them inline.
   void refresh_eta(sim::NodeId i);
   double wake_rate(sim::NodeId i, bool idle);
   double listen_tx_rate(sim::NodeId i, bool idle);
@@ -206,9 +206,8 @@ class Simulation {
   sim::ArenaVector<double> transmit_time_;
   sim::ArenaVector<double> eta_;        // mirror of nodes_rt_[i].multiplier
   sim::ArenaVector<double> wake_rate_;  // λ_sl(η) at idle; refreshed with η
-  sim::ArenaVector<double> tx_rate_;    // λ_lx(η, c) memo, row per node,
-  std::size_t tx_rate_width_ = 0;       //   column per count; rows refilled
-                                        //   eagerly on every η update
+  sim::ArenaVector<double> tx_rate_;    // λ_lx(η, 0) at idle, capture's
+                                        //   count-free rate; refreshed with η
   sim::EnergyLedger energy_;
 
   sim::ArenaVector<std::uint8_t> burst_rx_flag_;  // receivers of current burst

@@ -14,7 +14,7 @@ struct UnitVisitor {
 
   double operator()(const protocol::EconCastParams& p) const {
     // Events scale with N × duration; per-event work carries an extra
-    // N-dependent component (rate-memo row refills, toggle resampling over
+    // N-dependent component (toggle and listener-count resampling over
     // neighborhoods), so the aggregate is superlinear. N^1.5 tracks the
     // measured N=25..256 profile well enough for ordering.
     return n * std::sqrt(n) * p.config.duration;

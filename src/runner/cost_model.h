@@ -29,8 +29,9 @@ namespace econcast::runner {
 
 /// Protocol-class polynomial, in arbitrary "units" comparable across cells:
 /// simulated protocols scale with node count × simulated horizon (EconCast
-/// superlinearly in N — its listener dynamics and rate-memo refills grow
-/// with degree), analytic protocols with N alone. Pure function of the
+/// superlinearly in N — its carrier-toggle re-samples and, for the
+/// non-capture variant, listener-count re-samples grow with degree),
+/// analytic protocols with N alone. Pure function of the
 /// scenario spec; never consults the clock.
 double estimate_units(const Scenario& cell);
 

@@ -56,10 +56,6 @@ void Channel::set_listening(NodeId node, bool listening) {
   }
 }
 
-bool Channel::is_listening(NodeId node) const {
-  return listening_[node] != 0;
-}
-
 void Channel::begin_burst(NodeId tx) {
   if (transmitting_[tx]) throw std::logic_error("already transmitting");
   if (busy_count_[tx] > 0)

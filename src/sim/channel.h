@@ -48,7 +48,6 @@ class Channel {
   /// gates wake-ups on A_i(t)); entering listen mid-packet is a logic error
   /// for neighbors of an active transmitter.
   void set_listening(NodeId node, bool listening);
-  bool is_listening(NodeId node) const;
 
   // --- transmissions -----------------------------------------------------
   /// Starts a burst: raises carrier for all neighbors. The transmitter must

@@ -1,46 +1,13 @@
 #include "sim/energy.h"
 
-#include <algorithm>
-
 namespace econcast::sim {
-
-void EnergyStore::settle(double now) noexcept {
-  const double dt = now - last_;
-  if (dt > 0.0) {
-    level_ = std::clamp(level_ + (harvest_ - draw_) * dt, min_, max_);
-    consumed_ += draw_ * dt;
-    last_ = now;
-  }
-}
-
-void EnergyStore::set_draw(double draw, double now) noexcept {
-  settle(now);
-  draw_ = draw;
-}
-
-double EnergyStore::level(double now) const noexcept {
-  const double dt = now - last_;
-  return std::clamp(level_ + (harvest_ - draw_) * dt, min_, max_);
-}
-
-double EnergyStore::consumed(double now) const noexcept {
-  const double dt = now - last_;
-  return consumed_ + (dt > 0.0 ? draw_ * dt : 0.0);
-}
-
-void EnergyStore::set_bounds(double min_level, double max_level) noexcept {
-  min_ = min_level;
-  max_ = max_level;
-}
 
 EnergyLedger::EnergyLedger(Arena* arena)
     : harvest_(ArenaAllocator<double>(arena)),
       draw_(ArenaAllocator<double>(arena)),
       level_(ArenaAllocator<double>(arena)),
       consumed_(ArenaAllocator<double>(arena)),
-      last_(ArenaAllocator<double>(arena)),
-      min_(ArenaAllocator<double>(arena)),
-      max_(ArenaAllocator<double>(arena)) {}
+      last_(ArenaAllocator<double>(arena)) {}
 
 void EnergyLedger::reserve(std::size_t n) {
   harvest_.reserve(n);
@@ -48,8 +15,6 @@ void EnergyLedger::reserve(std::size_t n) {
   level_.reserve(n);
   consumed_.reserve(n);
   last_.reserve(n);
-  min_.reserve(n);
-  max_.reserve(n);
 }
 
 std::size_t EnergyLedger::add(double harvest_rate, double initial_level) {
@@ -59,16 +24,13 @@ std::size_t EnergyLedger::add(double harvest_rate, double initial_level) {
   level_.push_back(initial_level);
   consumed_.push_back(0.0);
   last_.push_back(0.0);
-  min_.push_back(-std::numeric_limits<double>::infinity());
-  max_.push_back(std::numeric_limits<double>::infinity());
   return i;
 }
 
 void EnergyLedger::set_draw(std::size_t i, double draw, double now) noexcept {
   const double dt = now - last_[i];
   if (dt > 0.0) {
-    level_[i] =
-        std::clamp(level_[i] + (harvest_[i] - draw_[i]) * dt, min_[i], max_[i]);
+    level_[i] += (harvest_[i] - draw_[i]) * dt;
     consumed_[i] += draw_[i] * dt;
     last_[i] = now;
   }
@@ -77,19 +39,12 @@ void EnergyLedger::set_draw(std::size_t i, double draw, double now) noexcept {
 
 double EnergyLedger::level(std::size_t i, double now) const noexcept {
   const double dt = now - last_[i];
-  return std::clamp(level_[i] + (harvest_[i] - draw_[i]) * dt, min_[i],
-                    max_[i]);
+  return level_[i] + (harvest_[i] - draw_[i]) * dt;
 }
 
 double EnergyLedger::consumed(std::size_t i, double now) const noexcept {
   const double dt = now - last_[i];
   return consumed_[i] + (dt > 0.0 ? draw_[i] * dt : 0.0);
-}
-
-void EnergyLedger::set_bounds(std::size_t i, double min_level,
-                              double max_level) noexcept {
-  min_[i] = min_level;
-  max_[i] = max_level;
 }
 
 }  // namespace econcast::sim

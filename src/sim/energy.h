@@ -1,67 +1,28 @@
-// Lazy-evaluated energy storage: level(t) = level(t0) + (harvest - draw)·(t-t0)
-// between change points. Models the paper's b_i(t) (battery/capacitor charge)
-// and, with `min_level = 0`, a storage that cannot go negative (testbed).
+// Lazy-evaluated energy storage for a node population: per node,
+// level(t) = level(t0) + (harvest - draw)·(t-t0) between change points. This
+// is the paper's unbounded virtual battery b_i(t) (§VII); the simulator's
+// optional energy guard (SimConfig::energy_guard) is what models a physical
+// floor, by reading the level, not by bounding it here.
 #ifndef ECONCAST_SIM_ENERGY_H
 #define ECONCAST_SIM_ENERGY_H
 
 #include <cstddef>
-#include <limits>
 
 #include "sim/arena.h"
 
 namespace econcast::sim {
 
-class EnergyStore {
- public:
-  /// harvest_rate: the node's power budget ρ (inflow). initial_level: b(0).
-  EnergyStore(double harvest_rate, double initial_level = 0.0) noexcept
-      : harvest_(harvest_rate), level_(initial_level) {}
-
-  /// Changes the instantaneous draw (state change). Settles the balance
-  /// first; `now` must be non-decreasing across calls.
-  void set_draw(double draw, double now) noexcept;
-
-  /// Storage level at `now` (>= last settle point), with clamping applied.
-  double level(double now) const noexcept;
-
-  /// Total energy consumed (integral of draw) up to `now`.
-  double consumed(double now) const noexcept;
-
-  /// Optional clamping bounds (default: unbounded, the paper's idealized
-  /// virtual battery). With a lower bound, deficit beyond the bound is lost
-  /// (the node browns out); with an upper bound, surplus harvest is wasted
-  /// (capacitor full). Clamping is applied at settle points, so set bounds
-  /// before the first set_draw.
-  void set_bounds(double min_level, double max_level) noexcept;
-
-  double harvest_rate() const noexcept { return harvest_; }
-  double draw() const noexcept { return draw_; }
-
- private:
-  void settle(double now) noexcept;
-
-  double harvest_;
-  double draw_ = 0.0;
-  double level_;
-  double consumed_ = 0.0;
-  double last_ = 0.0;
-  double min_ = -std::numeric_limits<double>::infinity();
-  double max_ = std::numeric_limits<double>::infinity();
-};
-
-/// Struct-of-arrays EnergyStore for a whole node population: the per-node
-/// balances live in parallel (optionally arena-backed) arrays, so the
-/// simulation inner loops touch one dense double per node instead of a
-/// scattered 7-field struct. The arithmetic is field-for-field identical to
-/// EnergyStore — same settle/clamp expressions in the same order — so a
-/// ledger slot and a store fed the same call sequence stay bit-equal (the
-/// unit tests assert this).
+/// One storage slot per node, struct-of-arrays: the balances live in parallel
+/// (optionally arena-backed) arrays, so the simulation inner loops touch one
+/// dense double per node. Slots are independent; calls on one never move
+/// another.
 class EnergyLedger {
  public:
   explicit EnergyLedger(Arena* arena = nullptr);
 
   void reserve(std::size_t n);
-  /// Appends a node; returns its index.
+  /// Appends a node with harvest rate ρ (its power budget) and level b(0);
+  /// returns its index.
   std::size_t add(double harvest_rate, double initial_level);
   std::size_t size() const noexcept { return harvest_.size(); }
 
@@ -69,17 +30,11 @@ class EnergyLedger {
   /// first; `now` must be non-decreasing across calls on the same slot.
   void set_draw(std::size_t i, double draw, double now) noexcept;
 
-  /// Storage level at `now` (>= last settle point), with clamping applied.
+  /// Storage level at `now` (>= last settle point).
   double level(std::size_t i, double now) const noexcept;
 
   /// Total energy consumed (integral of draw) up to `now`.
   double consumed(std::size_t i, double now) const noexcept;
-
-  /// See EnergyStore::set_bounds.
-  void set_bounds(std::size_t i, double min_level, double max_level) noexcept;
-
-  double harvest_rate(std::size_t i) const noexcept { return harvest_[i]; }
-  double draw(std::size_t i) const noexcept { return draw_[i]; }
 
  private:
   ArenaVector<double> harvest_;
@@ -87,8 +42,6 @@ class EnergyLedger {
   ArenaVector<double> level_;
   ArenaVector<double> consumed_;
   ArenaVector<double> last_;
-  ArenaVector<double> min_;
-  ArenaVector<double> max_;
 };
 
 }  // namespace econcast::sim

@@ -233,6 +233,32 @@ TEST(ProtocolAdapters, EconCastCountersArePinned) {
                model::homogeneous(64, 10.0, 500.0, 500.0),
                model::Topology::clique(64), /*seed=*/65),
       {87932, 314740, 87932, 226742, 143, 4595111570838763847u});
+
+  // The non-capture variant reads λ_lx per query with the listener count,
+  // driven by ĉ (groupput) and by γ̂ (anyput); the 16-clique pin above
+  // covers capture groupput.
+  proto::SimConfig nc = clique;
+  nc.variant = proto::Variant::kNonCapture;
+  expect_counters(
+      run_spec(protocol::econcast_spec(nc),
+               model::homogeneous(16, 10.0, 500.0, 500.0),
+               model::Topology::clique(16), /*seed=*/17),
+      {92815, 692890, 92815, 600058, 32, 4618527211441345056u});
+  nc.mode = model::Mode::kAnyput;
+  expect_counters(
+      run_spec(protocol::econcast_spec(nc),
+               model::homogeneous(16, 10.0, 500.0, 500.0),
+               model::Topology::clique(16), /*seed=*/18),
+      {35758, 157200, 35758, 121410, 32, 4594240874910805551u});
+
+  // Capture anyput under the fig. 6 guard set-up on a 16-clique.
+  proto::SimConfig anyput = grid;
+  anyput.mode = model::Mode::kAnyput;
+  expect_counters(
+      run_spec(protocol::econcast_spec(anyput),
+               model::homogeneous(16, 10.0, 500.0, 500.0),
+               model::Topology::clique(16), /*seed=*/19),
+      {17163, 59731, 17163, 42535, 41, 4589582351456253510u});
 }
 
 TEST(ProtocolAdapters, PandaSimulationMatchesDetailedRun) {

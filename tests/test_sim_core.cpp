@@ -1,4 +1,4 @@
-// Tests for the simulator substrate: event queue, energy store, channel
+// Tests for the simulator substrate: event queue, energy ledger, channel
 // bookkeeping (CSMA + non-clique corruption), and the metrics collector.
 #include <gtest/gtest.h>
 
@@ -80,47 +80,53 @@ TEST(EventQueue, ClearEmpties) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-// ------------------------------------------------------------ energy store --
+// ----------------------------------------------------------- energy ledger --
 
-TEST(EnergyStore, HarvestOnlyAccumulates) {
-  EnergyStore e(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(e.level(3.0), 7.0);  // 1 + 2*3
-  EXPECT_DOUBLE_EQ(e.consumed(3.0), 0.0);
+TEST(EnergyLedger, HarvestOnlyAccumulates) {
+  EnergyLedger e;
+  e.add(2.0, 1.0);
+  EXPECT_DOUBLE_EQ(e.level(0, 3.0), 7.0);  // 1 + 2*3
+  EXPECT_DOUBLE_EQ(e.consumed(0, 3.0), 0.0);
 }
 
-TEST(EnergyStore, DrawReducesLevel) {
-  EnergyStore e(1.0);
-  e.set_draw(3.0, 0.0);
-  EXPECT_DOUBLE_EQ(e.level(2.0), -4.0);  // (1-3)*2
-  EXPECT_DOUBLE_EQ(e.consumed(2.0), 6.0);
+TEST(EnergyLedger, DrawReducesLevel) {
+  EnergyLedger e;
+  e.add(1.0, 0.0);
+  e.set_draw(0, 3.0, 0.0);
+  EXPECT_DOUBLE_EQ(e.level(0, 2.0), -4.0);  // (1-3)*2, no floor
+  EXPECT_DOUBLE_EQ(e.consumed(0, 2.0), 6.0);
 }
 
-TEST(EnergyStore, PiecewiseAccounting) {
-  EnergyStore e(1.0);
-  e.set_draw(2.0, 0.0);   // net -1 for 5 units
-  e.set_draw(0.0, 5.0);   // net +1 for 5 units
-  EXPECT_DOUBLE_EQ(e.level(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(e.consumed(10.0), 10.0);
+TEST(EnergyLedger, PiecewiseAccounting) {
+  EnergyLedger e;
+  e.add(1.0, 0.0);
+  e.set_draw(0, 2.0, 0.0);   // net -1 for 5 units
+  e.set_draw(0, 0.0, 5.0);   // net +1 for 5 units
+  EXPECT_DOUBLE_EQ(e.level(0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(e.consumed(0, 10.0), 10.0);
 }
 
-TEST(EnergyStore, ClampingBounds) {
-  EnergyStore e(1.0, 0.0);
-  e.set_bounds(0.0, 3.0);
-  e.set_draw(0.0, 0.0);
-  // Harvest beyond the cap is wasted.
-  e.set_draw(5.0, 10.0);  // settle at t=10: level clamped to 3
-  EXPECT_DOUBLE_EQ(e.level(10.0), 3.0);
-  // Deficit beyond the floor is lost.
-  e.set_draw(0.0, 20.0);  // (1-5)*10 would be -37; clamped to 0 at settle
-  EXPECT_DOUBLE_EQ(e.level(20.0), 0.0);
+TEST(EnergyLedger, QueryDoesNotMutate) {
+  EnergyLedger e;
+  e.add(1.0, 0.0);
+  e.set_draw(0, 2.0, 0.0);
+  EXPECT_DOUBLE_EQ(e.level(0, 1.0), -1.0);
+  EXPECT_DOUBLE_EQ(e.level(0, 1.0), -1.0);  // idempotent
+  EXPECT_DOUBLE_EQ(e.consumed(0, 1.0), 2.0);
 }
 
-TEST(EnergyStore, QueryDoesNotMutate) {
-  EnergyStore e(1.0);
-  e.set_draw(2.0, 0.0);
-  EXPECT_DOUBLE_EQ(e.level(1.0), -1.0);
-  EXPECT_DOUBLE_EQ(e.level(1.0), -1.0);  // idempotent
-  EXPECT_DOUBLE_EQ(e.consumed(1.0), 2.0);
+TEST(EnergyLedger, SlotsDoNotInteract) {
+  EnergyLedger e;
+  EXPECT_EQ(e.add(1.0, 0.0), 0u);
+  EXPECT_EQ(e.add(3.0, 2.0), 1u);
+  EXPECT_EQ(e.size(), 2u);
+  e.set_draw(0, 5.0, 0.0);  // slot 0: net -4 from t=0
+  e.set_draw(1, 1.0, 4.0);  // slot 1: net +3 to t=4, then net +2
+  e.set_draw(0, 0.0, 2.0);  // slot 0: net +1 from t=2
+  EXPECT_DOUBLE_EQ(e.level(0, 6.0), -4.0);  // -4*2 + 1*4
+  EXPECT_DOUBLE_EQ(e.consumed(0, 6.0), 10.0);
+  EXPECT_DOUBLE_EQ(e.level(1, 6.0), 18.0);  // 2 + 3*4 + 2*2
+  EXPECT_DOUBLE_EQ(e.consumed(1, 6.0), 2.0);
 }
 
 // ---------------------------------------------------------------- channel --
