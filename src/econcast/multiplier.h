@@ -34,8 +34,6 @@ class MultiplierTracker {
   /// finished, then advances k.
   void update(double storage_delta) noexcept;
 
-  std::size_t intervals_completed() const noexcept { return k_ - 1; }
-
  private:
   double step_over_interval() const noexcept;  // δ_k / τ_k
 

@@ -18,9 +18,12 @@ struct WorkDepthScope {
   WorkDepthScope() noexcept { ++t_work_depth; }
   ~WorkDepthScope() noexcept { --t_work_depth; }
 };
-}  // namespace
 
+// True while this thread runs inside an Executor batch — a pool worker
+// running tasks, or a submitter taking part in its own batch or running one
+// inline.
 bool on_executor_thread() noexcept { return t_work_depth > 0; }
+}  // namespace
 
 std::size_t resolve_threads(std::size_t requested) noexcept {
   if (requested > 0) return requested;
@@ -74,27 +77,22 @@ void Executor::worker_main() {
     Batch* batch = current_batch_;
     const std::uint64_t gen = batch_gen_;
 
-    // Claim a participant slot and bump `inside` while still under pool_mu_.
-    // The submitter retires the batch under the same mutex and only then
-    // waits for `inside` to drain, so either we are counted before the
-    // retire or we observe current_batch_ == nullptr — never a join after
-    // the submitter stopped waiting.
-    std::size_t slot = 0;
+    // Join (bump `inside`) while still under pool_mu_. The submitter
+    // retires the batch under the same mutex and only then waits for
+    // `inside` to drain, so either we are counted before the retire or we
+    // observe current_batch_ == nullptr — never a join after the submitter
+    // stopped waiting.
     bool joined = false;
     {
-      std::lock_guard<std::mutex> slots(batch->slot_mu);
-      if (batch->next_slot < batch->deques.size()) {
-        slot = batch->next_slot++;
+      std::lock_guard<std::mutex> state(batch->state_mu);
+      if (batch->inside < batch->max_inside) {
+        ++batch->inside;
         joined = true;
       }
     }
     if (joined) {
-      {
-        std::lock_guard<std::mutex> state(batch->state_mu);
-        ++batch->inside;
-      }
       lock.unlock();
-      work_on(*batch, slot);
+      work_on(*batch);
       lock.lock();
     }
     // Sleep until this batch is retired so a full or drained batch is not
@@ -127,27 +125,20 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   }
 
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
-  const std::size_t participants = this->participants(n, max_parallelism);
-  if (participants <= 1) {
+  std::size_t max_inside = workers_.size() + 1;  // + the submitting thread
+  if (max_parallelism > 0) max_inside = std::min(max_inside, max_parallelism);
+  max_inside = std::min(max_inside, n);
+  if (max_inside <= 1) {
     run_serial(n, fn, progress);
     return;
   }
 
   Batch batch;
   batch.n = n;
+  batch.max_inside = max_inside;
   batch.fn = &fn;
   batch.progress = progress ? &progress : nullptr;
-  batch.deques = std::vector<WorkDeque>(participants);
-  // Seed each participant with a contiguous chunk; stealing rebalances.
-  const std::size_t base = n / participants;
-  const std::size_t extra = n % participants;
-  std::size_t begin = 0;
-  for (std::size_t p = 0; p < participants; ++p) {
-    const std::size_t len = base + (p < extra ? 1 : 0);
-    batch.deques[p].ranges.push_back(Range{begin, begin + len});
-    begin += len;
-  }
-  batch.inside = 1;  // the submitting thread, slot 0
+  batch.inside = 1;  // the submitting thread
 
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
@@ -156,7 +147,7 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   }
   pool_cv_.notify_all();
 
-  work_on(batch, 0);
+  work_on(batch);
 
   // Retire the batch BEFORE waiting for it to drain: workers join (and bump
   // `inside`) only while holding pool_mu_ with current_batch_ still set, so
@@ -170,123 +161,34 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   pool_cv_.notify_all();
   {
     std::unique_lock<std::mutex> state(batch.state_mu);
-    batch.state_cv.wait(
-        state, [&] { return batch.settled == batch.n && batch.inside == 0; });
+    batch.state_cv.wait(state, [&] { return batch.inside == 0; });
   }
 
   if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 
-std::size_t Executor::participants(std::size_t n,
-                                   std::size_t max_parallelism) const noexcept {
-  if (on_executor_thread()) return std::min<std::size_t>(n, 1);
-  std::size_t p = workers_.size() + 1;  // workers + the submitting thread
-  if (max_parallelism > 0) p = std::min(p, max_parallelism);
-  return std::min(p, n);
-}
-
-bool Executor::pop_own(Batch& b, std::size_t slot, std::size_t& index) {
-  WorkDeque& d = b.deques[slot];
-  std::lock_guard<std::mutex> lock(d.mu);
-  if (d.ranges.empty()) return false;
-  Range& r = d.ranges.back();
-  index = r.begin++;
-  if (r.begin == r.end) d.ranges.pop_back();
-  return true;
-}
-
-bool Executor::steal_into(Batch& b, std::size_t slot) {
-  // Scan the other deques starting just past our own so contention spreads;
-  // take the front range of the first victim with work, leaving the victim
-  // the back half when the range can split.
-  const std::size_t p = b.deques.size();
-  for (std::size_t k = 1; k < p; ++k) {
-    WorkDeque& victim = b.deques[(slot + k) % p];
-    Range stolen;
-    {
-      std::lock_guard<std::mutex> lock(victim.mu);
-      if (victim.ranges.empty()) continue;
-      Range& r = victim.ranges.front();
-      const std::size_t len = r.end - r.begin;
-      if (len > 1) {
-        const std::size_t mid = r.begin + len / 2;
-        stolen = Range{r.begin, mid};
-        r.begin = mid;
-      } else {
-        stolen = r;
-        victim.ranges.pop_front();
-      }
-    }
-    std::lock_guard<std::mutex> lock(b.deques[slot].mu);
-    b.deques[slot].ranges.push_back(stolen);
-    return true;
-  }
-  return false;
-}
-
-void Executor::run_task(Batch& b, std::size_t index) {
-  try {
-    (*b.fn)(index);
-    if (b.progress) {
-      // Serialized: `done` advances by exactly one per callback, and the
-      // callback body (e.g. SweepSession's checkpoint writer) can touch
-      // shared state without its own lock.
-      std::lock_guard<std::mutex> lock(b.progress_mu);
-      ++b.done;
-      (*b.progress)(TaskProgress{index, b.done, b.n});
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> state(b.state_mu);
-    if (!b.failed) {
-      b.failed = true;
-      b.first_error = std::current_exception();
-    }
-  }
-  std::lock_guard<std::mutex> state(b.state_mu);
-  ++b.settled;
-  if (b.settled == b.n) b.state_cv.notify_all();
-}
-
-void Executor::abandon_remaining(Batch& b) {
-  std::size_t abandoned = 0;
-  for (WorkDeque& d : b.deques) {
-    std::lock_guard<std::mutex> lock(d.mu);
-    for (const Range& r : d.ranges) abandoned += r.end - r.begin;
-    d.ranges.clear();
-  }
-  if (abandoned == 0) return;
-  std::lock_guard<std::mutex> state(b.state_mu);
-  b.settled += abandoned;
-  if (b.settled == b.n) b.state_cv.notify_all();
-}
-
-void Executor::work_on(Batch& b, std::size_t slot) {
+void Executor::work_on(Batch& b) {
   const WorkDepthScope in_task_context;
-  for (;;) {
-    {
+  for (std::size_t index = b.next.fetch_add(1); index < b.n;
+       index = b.next.fetch_add(1)) {
+    try {
+      (*b.fn)(index);
+      if (b.progress) {
+        // Serialized: `done` advances by exactly one per callback, and the
+        // callback body (e.g. SweepSession's checkpoint writer) can touch
+        // shared state without its own lock.
+        std::lock_guard<std::mutex> lock(b.progress_mu);
+        ++b.done;
+        (*b.progress)(TaskProgress{index, b.done, b.n});
+      }
+    } catch (...) {
+      b.next.store(b.n);  // abandon every index not yet taken
       std::lock_guard<std::mutex> state(b.state_mu);
-      if (b.failed) break;
-    }
-    std::size_t index;
-    if (pop_own(b, slot, index)) {
-      run_task(b, index);
-      continue;
-    }
-    if (!steal_into(b, slot)) break;  // every deque empty: only in-flight
-                                      // tasks remain, nothing to steal
-  }
-  {
-    std::lock_guard<std::mutex> state(b.state_mu);
-    if (!b.failed) {
-      --b.inside;
-      if (b.inside == 0) b.state_cv.notify_all();
-      return;
+      if (!b.first_error) b.first_error = std::current_exception();
     }
   }
-  abandon_remaining(b);
   std::lock_guard<std::mutex> state(b.state_mu);
-  --b.inside;
-  if (b.inside == 0) b.state_cv.notify_all();
+  if (--b.inside == 0) b.state_cv.notify_all();
 }
 
 }  // namespace econcast::exec

@@ -1,13 +1,19 @@
-// Persistent work-stealing executor for the sweep workloads.
+// Persistent executor for the sweep workloads.
 //
 // The paper's evaluation is a pipeline of large batches (hundreds of sampled
 // networks per figure cell), and before this subsystem existed every batch
 // paid for a fresh std::thread pool spin-up/join. Executor keeps one set of
-// worker threads alive for the life of the process (or of a test), executes
-// index-space batches over per-worker deques with range stealing, and
-// reports per-task completion through a serialized progress callback — the
-// hook runner::SweepSession uses to stream checkpoint results in index
-// order.
+// worker threads alive for the life of the process (or of a test), runs
+// index-space batches on them, and reports per-task completion through a
+// serialized progress callback — the hook runner::SweepSession uses to
+// stream checkpoint results in index order.
+//
+// Every participant takes its next index from one shared cursor, so tasks
+// start in submission order: the k-th task taken is fn(k), whichever
+// participant takes it. A caller that wants a schedule
+// (runner::cost_submit_order's longest-first list) expresses it as the index
+// order alone. The tasks this project runs are simulations lasting
+// milliseconds to hours, so the shared cursor's contention is noise.
 //
 // Determinism: the executor assigns *which* thread runs fn(i), never *what*
 // fn(i) computes. Callers that confine writes to per-index state (the
@@ -16,10 +22,11 @@
 #ifndef ECONCAST_EXEC_EXECUTOR_H
 #define ECONCAST_EXEC_EXECUTOR_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -61,11 +68,12 @@ class Executor {
   std::size_t num_workers() const noexcept { return workers_.size(); }
 
   /// Runs fn(i) for every i in [0, n), distributing indices across this
-  /// executor's workers plus the calling thread. Blocks until the batch is
-  /// complete. `max_parallelism` caps the number of participating threads
-  /// (0 = no cap beyond the pool size); 1 runs inline on the caller. The
-  /// first exception thrown by any task is rethrown after the batch drains;
-  /// remaining indices are abandoned.
+  /// executor's workers plus the calling thread; tasks start in ascending
+  /// index order. Blocks until the batch is complete. `max_parallelism`
+  /// caps the number of participating threads (0 = no cap beyond the pool
+  /// size); 1 runs inline on the caller. The first exception thrown by any
+  /// task is rethrown after the batch drains; indices not yet started are
+  /// abandoned.
   ///
   /// One batch runs at a time per executor: concurrent calls from other
   /// threads queue behind a submission mutex. A call made from inside one of
@@ -75,14 +83,6 @@ class Executor {
                     std::size_t max_parallelism = 0,
                     const ProgressFn& progress = nullptr);
 
-  /// How many participants a parallel_for(n, ..., max_parallelism) called
-  /// from this thread seeds: min(workers + 1, max_parallelism, n), or at
-  /// most 1 for a nested call. parallel_for seeds participant c with the
-  /// c-th of that many contiguous chunks (sizes n/p, +1 for the first n%p),
-  /// which runner::cost_submit_order deals its LPT lists into.
-  std::size_t participants(std::size_t n,
-                           std::size_t max_parallelism) const noexcept;
-
   /// The process-wide shared executor (hardware_concurrency workers),
   /// constructed on first use and alive until exit. runner::ScenarioRunner
   /// and runner::SweepSession submit to it by default, so every batch in
@@ -90,47 +90,29 @@ class Executor {
   static Executor& shared();
 
  private:
-  /// A half-open index range; the unit of work ownership and stealing.
-  struct Range {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  /// One participant's deque. The owner takes single indices from its back
-  /// range, lowest index first, so a seeded chunk runs in submission order;
-  /// thieves split off the front half of the front range. A plain mutex per
-  /// deque keeps this obviously correct — the tasks this project runs are
-  /// simulations lasting milliseconds to hours, so queue overhead is noise.
-  struct WorkDeque {
-    std::mutex mu;
-    std::deque<Range> ranges;
-  };
-
+  /// One parallel_for call, on its submitter's stack. Participants take
+  /// indices from `next` until it reaches `n`; a task that throws stores `n`
+  /// so no participant takes another. Every taken task has finished once
+  /// `inside` is 0 after the batch is retired.
   struct Batch {
     std::size_t n = 0;
+    std::size_t max_inside = 0;  // participant cap: min(workers + 1,
+                                 // max_parallelism, n)
     const TaskFn* fn = nullptr;
     const ProgressFn* progress = nullptr;
-    std::vector<WorkDeque> deques;  // one per participant slot
-    std::mutex slot_mu;
-    std::size_t next_slot = 1;  // slot 0 is the submitting thread
+    std::atomic<std::size_t> next{0};
 
     std::mutex progress_mu;
     std::size_t done = 0;  // tasks executed (guarded by progress_mu)
 
     std::mutex state_mu;
     std::condition_variable state_cv;
-    std::size_t settled = 0;  // executed or abandoned (guarded by state_mu)
-    std::size_t inside = 0;   // participants currently in work_on (state_mu)
-    bool failed = false;
-    std::exception_ptr first_error;
+    std::size_t inside = 0;  // participants currently in work_on (state_mu)
+    std::exception_ptr first_error;  // guarded by state_mu
   };
 
   void worker_main();
-  void work_on(Batch& b, std::size_t slot);
-  bool pop_own(Batch& b, std::size_t slot, std::size_t& index);
-  bool steal_into(Batch& b, std::size_t slot);
-  void run_task(Batch& b, std::size_t index);
-  void abandon_remaining(Batch& b);
+  void work_on(Batch& b);
   void run_serial(std::size_t n, const TaskFn& fn, const ProgressFn& progress);
 
   std::vector<std::thread> workers_;
@@ -143,12 +125,6 @@ class Executor {
   std::uint64_t batch_gen_ = 0;     // bumped on publish and retire
   bool stop_ = false;
 };
-
-/// True when the calling thread is currently executing inside an Executor
-/// batch — a pool worker running tasks, or a submitting thread participating
-/// in its own batch. Used to detect nested parallel_for calls (they run
-/// inline).
-bool on_executor_thread() noexcept;
 
 }  // namespace econcast::exec
 

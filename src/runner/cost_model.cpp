@@ -48,34 +48,14 @@ double estimate_units(const Scenario& cell) {
   return std::visit(UnitVisitor{n}, cell.protocol.params);
 }
 
-std::vector<std::size_t> cost_submit_order(const std::vector<double>& units,
-                                           std::size_t participants) {
-  const std::size_t n = units.size();
-
-  // Descending units, ascending index on ties: deterministic for a given
-  // batch.
-  std::vector<std::size_t> by_cost(n);
-  std::iota(by_cost.begin(), by_cost.end(), 0);
-  std::stable_sort(by_cost.begin(), by_cost.end(),
+std::vector<std::size_t> cost_submit_order(const std::vector<double>& units) {
+  std::vector<std::size_t> order(units.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      if (units[a] != units[b]) return units[a] > units[b];
                      return a < b;
                    });
-
-  const std::size_t p = std::min(participants, n);
-  if (p <= 1) return by_cost;
-
-  // Round-robin deal into p lists, then concatenate. The executor seeds
-  // participant c with the contiguous chunk of submit indices whose sizes
-  // are n/p (+1 for the first n%p participants) and takes it lowest index
-  // first — exactly the chunk sizes the deal produces — so participant c's
-  // first task is the c-th heaviest cell and its queue descends from there.
-  std::vector<std::vector<std::size_t>> chunks(p);
-  for (std::size_t k = 0; k < n; ++k) chunks[k % p].push_back(by_cost[k]);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (const std::vector<std::size_t>& chunk : chunks)
-    order.insert(order.end(), chunk.begin(), chunk.end());
   return order;
 }
 

@@ -38,14 +38,10 @@ double estimate_units(const Scenario& cell);
 /// The LPT submission permutation for a pending batch whose k-th cell is
 /// expected to cost `units[k]` (estimate_units): element k is the batch
 /// index to run as the k-th submitted task. Cells are sorted by descending
-/// units (ties broken by ascending index, so the order is deterministic)
-/// and then dealt round-robin across `participants` contiguous chunks — the
-/// chunks exec::Executor::parallel_for seeds, so every participant starts
-/// on its own heaviest cell and steals hit the heaviest remaining work.
-/// Pass exec::Executor::participants for the batch and thread cap it will
-/// be submitted with; 0 or 1 degenerates to plain descending-units order.
-std::vector<std::size_t> cost_submit_order(const std::vector<double>& units,
-                                           std::size_t participants);
+/// units, ties broken by ascending index, so the order is deterministic.
+/// exec::Executor::parallel_for starts tasks in submission order, so the
+/// sweep runs as greedy LPT: each free thread takes the heaviest cell left.
+std::vector<std::size_t> cost_submit_order(const std::vector<double>& units);
 
 }  // namespace econcast::runner
 

@@ -10,10 +10,10 @@
 // Birthday, analytic bounds and custom protocols — and aggregates the
 // per-scenario SimResults into summary statistics.
 //
-// Execution is a thin client of the persistent work-stealing
-// exec::Executor: batches are submitted to exec::Executor::shared() (or an
-// executor of the caller's choosing) instead of spinning up and joining a
-// fresh thread pool per batch, so back-to-back sweeps reuse one warm pool.
+// Execution is a thin client of the persistent exec::Executor: batches are
+// submitted to exec::Executor::shared() (or an executor of the caller's
+// choosing) instead of spinning up and joining a fresh thread pool per
+// batch, so back-to-back sweeps reuse one warm pool.
 //
 // Determinism contract: each scenario i runs with
 //   seed = derive_seed(base_seed, i)

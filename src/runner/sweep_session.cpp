@@ -192,14 +192,13 @@ std::size_t SweepSession::run(std::size_t limit) {
   flush_ready();
   if (misses.empty()) return completed_.size() - offset;
 
-  // Submission k runs miss order[k]: longest expected first, dealt over the
-  // participants parallel_for seeds (cost_model.h).
+  // Submission k runs miss order[k]: longest expected first, and
+  // parallel_for starts tasks in submission order (cost_model.h).
   std::vector<double> units;
   units.reserve(misses.size());
   for (const std::size_t local : misses)
     units.push_back(estimate_units(batch_[offset + local]));
-  const std::vector<std::size_t> order = cost_submit_order(
-      units, executor.participants(misses.size(), threads));
+  const std::vector<std::size_t> order = cost_submit_order(units);
 
   // Each task claims, computes, publishes and releases its own cell,
   // writing only that cell's slots; the serialized hook marks it ready and

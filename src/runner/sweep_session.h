@@ -39,8 +39,8 @@
 //    the same command is a warm pass that writes the canonical results
 //    file.
 //  - Longest-expected-first (LPT) submission (cost_model.h). The pending
-//    misses are always submitted in descending cost-model units, dealt
-//    across exec::Executor::participants, so no heavy cell lands last on a
+//    misses are always submitted in descending cost-model units, and the
+//    executor starts them in that order, so no heavy cell lands last on a
 //    busy pool. The reorder buffer writes the file in index order no matter
 //    what order cells complete in, which is what makes reordering legal.
 #ifndef ECONCAST_RUNNER_SWEEP_SESSION_H

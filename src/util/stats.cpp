@@ -81,10 +81,6 @@ void Counter::add(std::size_t value, std::uint64_t weight) {
   total_ += weight;
 }
 
-std::size_t Counter::max_value() const noexcept {
-  return counts_.empty() ? 0 : counts_.size() - 1;
-}
-
 double Counter::fraction(std::size_t value) const noexcept {
   if (total_ == 0 || value >= counts_.size()) return 0.0;
   return static_cast<double>(counts_[value]) / static_cast<double>(total_);

@@ -82,7 +82,6 @@ class Counter {
   void add(std::size_t value, std::uint64_t weight = 1);
 
   std::uint64_t total() const noexcept { return total_; }
-  std::size_t max_value() const noexcept;
   /// Fraction of mass at `value` (0 if beyond range or empty).
   double fraction(std::size_t value) const noexcept;
   std::uint64_t count(std::size_t value) const noexcept;

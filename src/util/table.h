@@ -30,9 +30,6 @@ class Table {
   /// Renders with aligned columns, header underline, optional title.
   void print(std::ostream& os, const std::string& title = "") const;
 
-  /// Comma-separated rendering (headers first).
-  void print_csv(std::ostream& os) const;
-
   std::size_t rows() const noexcept { return rows_.size(); }
 
  private:

@@ -4,8 +4,8 @@
 // directory, a seeded mutation test of the segment reader), its per-cell
 // claims
 // (exclusive acquire across threads, staleness, malformed claim files), the
-// cost model's units and LPT submission order (and its deal across the
-// executor's participants), ScenarioRunner::run_with_seeds seed-count
+// cost model's units and LPT submission order (and that the executor starts
+// its heaviest cells first), ScenarioRunner::run_with_seeds seed-count
 // validation, and the end-to-end guarantee the whole layer
 // hangs off: a sweep run with the cache off, cold or warm — on any number of
 // participants — produces byte-identical results files, with the warm run
@@ -634,18 +634,18 @@ TEST(CellCache, OffColdWarmRunsAreByteIdenticalAndWarmExecutesNothing) {
   EXPECT_EQ(reference, slurp(dir / "cold.jsonl"));
   EXPECT_EQ(reference, slurp(dir / "warm.jsonl"));
 
-  // A cold run into a fresh cache on three participants, which deal the 16
-  // LPT-ordered cells unevenly (6/5/5), writes the same bytes.
+  // A cold run into a fresh cache on three participants, which finish the
+  // 16 LPT-ordered cells out of index order, writes the same bytes.
   options.cache = std::make_shared<runner::CellCache>(
       (dir / "fresh-cache").string());
   options.executor = std::make_shared<exec::Executor>(3);
   options.num_threads = 3;
   options.on_cell_done = nullptr;
-  runner::SweepSession dealt(manifest, (dir / "dealt.jsonl").string(),
-                             options);
-  EXPECT_EQ(dealt.run(), 16u);
+  runner::SweepSession parallel(manifest, (dir / "parallel.jsonl").string(),
+                                options);
+  EXPECT_EQ(parallel.run(), 16u);
   EXPECT_EQ(options.cache->stats().misses, 16u);
-  EXPECT_EQ(reference, slurp(dir / "dealt.jsonl"));
+  EXPECT_EQ(reference, slurp(dir / "parallel.jsonl"));
 }
 
 TEST(CellCache, SabotagedEntriesAreRejectedAndRecomputed) {
@@ -751,22 +751,15 @@ TEST(CostModel, UnitsArePositiveAndGrowWithWork) {
 TEST(CostModel, LptOrderIsADeterministicPermutationByUnits) {
   const auto cells = small_manifest().spec.expand();
 
-  for (const std::size_t participants : {0u, 1u, 3u, 4u, 7u}) {
-    const std::vector<std::size_t> order =
-        runner::cost_submit_order(units_of(cells), participants);
-    ASSERT_EQ(order.size(), cells.size());
-    std::vector<std::size_t> sorted = order;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i < sorted.size(); ++i)
-      EXPECT_EQ(sorted[i], i) << "participants=" << participants;
-    EXPECT_EQ(order,
-              runner::cost_submit_order(units_of(cells), participants));
-  }
-
-  // With one participant the order is exactly descending units, ties by
-  // ascending index.
   const std::vector<std::size_t> lpt =
-      runner::cost_submit_order(units_of(cells), 1);
+      runner::cost_submit_order(units_of(cells));
+  ASSERT_EQ(lpt.size(), cells.size());
+  std::vector<std::size_t> sorted = lpt;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
+  EXPECT_EQ(lpt, runner::cost_submit_order(units_of(cells)));
+
+  // The order is exactly descending units, ties by ascending index.
   for (std::size_t k = 1; k < lpt.size(); ++k) {
     const double prev = runner::estimate_units(cells[lpt[k - 1]]);
     const double cur = runner::estimate_units(cells[lpt[k]]);
@@ -775,7 +768,7 @@ TEST(CostModel, LptOrderIsADeterministicPermutationByUnits) {
   }
 }
 
-TEST(CostModel, DealHeadsEveryExecutorParticipantWithAHeavyCell) {
+TEST(CostModel, LptOrderHeadsEveryExecutorParticipantWithAHeavyCell) {
   // Ten EconCast cliques, N = 3..12 in ascending order, so units are
   // distinct and LPT reverses the batch: the two heaviest are N=12 (index
   // 9) and N=11 (index 8).
@@ -787,19 +780,17 @@ TEST(CostModel, DealHeadsEveryExecutorParticipantWithAHeavyCell) {
                      model::Topology::clique(n),
                      protocol::econcast_spec(cfg)});
 
-  // A cap of 8 threads on a one-worker pool spreads the batch over 2
-  // participants (the worker and the submitting thread), so the deal has 2
-  // chunks of 5, each headed by one of the two heaviest cells.
-  exec::Executor executor(1);
-  ASSERT_EQ(executor.participants(cells.size(), 8), 2u);
   const std::vector<std::size_t> order =
-      runner::cost_submit_order(units_of(cells), 2);
+      runner::cost_submit_order(units_of(cells));
   EXPECT_EQ(order[0], 9u);
-  EXPECT_EQ(order[5], 8u);
+  EXPECT_EQ(order[1], 8u);
 
-  // And the executor really starts each participant on its chunk's head.
-  // Each participant's first task waits until both have started, so
-  // neither can drain the other's chunk first; no task simulates anything.
+  // A cap of 8 threads on a one-worker pool spreads the batch over 2
+  // participants (the worker and the submitting thread), and the executor
+  // starts them on the two heaviest cells. Each participant's first task
+  // waits until both have started, so neither can take the other's head
+  // first; no task simulates anything.
+  exec::Executor executor(1);
   std::mutex mu;
   std::condition_variable cv;
   std::set<std::thread::id> started;

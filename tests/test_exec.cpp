@@ -1,12 +1,15 @@
-// Tests for the persistent work-stealing executor: full index coverage
-// (exactly once) across pool shapes, persistence of one pool across many
-// batches, parallelism caps, the serialized per-task progress contract,
-// exception propagation with abandonment, nested-call inlining, graceful
-// shutdown, and race-free construction of the solvers sweeps build on
-// executor threads.
+// Tests for the persistent executor: full index coverage (exactly once)
+// across pool shapes, tasks starting in submission order, persistence of one
+// pool across many batches, parallelism caps, the serialized per-task
+// progress contract, exception propagation with abandonment, nested-call
+// inlining, graceful shutdown, and race-free construction of the solvers
+// sweeps build on executor threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <numeric>
@@ -35,6 +38,36 @@ TEST(Executor, CoversAllIndicesExactlyOnce) {
     std::vector<std::atomic<int>> hits(n);
     pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+  }
+}
+
+TEST(Executor, FirstStartedTasksAreTheLowestIndices) {
+  // The cursor hands out indices in ascending order, so the first p tasks
+  // to start are exactly 0..p-1. Each participant's first task blocks until
+  // p tasks have started, so no participant can run ahead and start a
+  // higher index before every participant holds one.
+  for (const std::size_t p : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(p);
+    Executor pool(p - 1);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::thread::id> threads;
+    std::vector<std::size_t> first;
+    pool.parallel_for(
+        64,
+        [&](std::size_t i) {
+          std::unique_lock<std::mutex> lock(mu);
+          if (!threads.insert(std::this_thread::get_id()).second) return;
+          first.push_back(i);
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(30),
+                      [&] { return first.size() >= p; });
+        },
+        p);
+    std::sort(first.begin(), first.end());
+    std::vector<std::size_t> lowest(p);
+    std::iota(lowest.begin(), lowest.end(), std::size_t{0});
+    EXPECT_EQ(first, lowest);
   }
 }
 
@@ -134,9 +167,22 @@ TEST(Executor, FirstExceptionPropagatesAndRestIsAbandoned) {
                               std::chrono::microseconds(200));
                         }),
       std::runtime_error);
-  // The failing index ran; abandonment keeps the tail from all running.
+  // The failing index ran; how much of the tail other participants
+  // started first depends on timing, so only the serial case is exact.
   EXPECT_GE(calls.load(), 1);
   EXPECT_LE(calls.load(), 1000);
+
+  // On one participant, a throw at index 0 leaves the rest unstarted.
+  calls = 0;
+  EXPECT_THROW(pool.parallel_for(
+                   1000,
+                   [&](std::size_t i) {
+                     calls.fetch_add(1);
+                     if (i == 0) throw std::runtime_error("boom");
+                   },
+                   /*max_parallelism=*/1),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(Executor, UsableAfterAFailedBatch) {

@@ -145,7 +145,6 @@ TEST(Multiplier, ConstantScheduleIntervals) {
   EXPECT_DOUBLE_EQ(t.next_interval_length(), 42.0);
   t.update(0.0);
   EXPECT_DOUBLE_EQ(t.next_interval_length(), 42.0);
-  EXPECT_EQ(t.intervals_completed(), 1u);
 }
 
 TEST(Multiplier, Theorem1Schedule) {

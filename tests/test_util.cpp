@@ -264,7 +264,6 @@ TEST(CounterTest, FractionsSumToOne) {
   c.add(2, 1);
   EXPECT_DOUBLE_EQ(c.fraction(0) + c.fraction(1) + c.fraction(2), 1.0);
   EXPECT_EQ(c.total(), 100u);
-  EXPECT_EQ(c.max_value(), 2u);
   EXPECT_DOUBLE_EQ(c.fraction(7), 0.0);
 }
 
@@ -279,22 +278,16 @@ TEST(CounterTest, EmptyCounter) {
 TEST(TableTest, AlignedRendering) {
   Table t({"a", "bbbb"});
   t.add_row({"1", "2"});
+  t.add_row();
+  t.add_cell(3.14159, 2);
+  t.add_cell(static_cast<std::int64_t>(7));
   std::ostringstream os;
   t.print(os, "title");
   const std::string out = os.str();
   EXPECT_NE(out.find("title"), std::string::npos);
   EXPECT_NE(out.find("bbbb"), std::string::npos);
-}
-
-TEST(TableTest, CsvRendering) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  t.add_row();
-  t.add_cell(3.14159, 2);
-  t.add_cell(static_cast<std::int64_t>(7));
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n3.14,7\n");
+  EXPECT_NE(out.find("3.14  7"), std::string::npos);
+  EXPECT_EQ(out.find("3.141"), std::string::npos);
 }
 
 TEST(TableTest, RowWidthMismatchThrows) {
