@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "baselines/birthday.h"
 #include "baselines/panda.h"
@@ -136,6 +139,49 @@ TEST(Panda, SimDeterministicPerSeed) {
   const PandaSimDetail b = simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.receptions, b.receptions);
+}
+
+// Exact results of the event-driven simulation, bit for bit: no golden digest
+// covers it (the paper benches run the analytic model), so these pins are
+// what holds a refactor of the simulator to the same event sequence.
+struct PandaPin {
+  std::size_t n;
+  double wake_rate, listen_window, duration;
+  std::uint64_t seed;
+  std::uint64_t packets, receptions, packets_received_any;
+  std::vector<double> listen_time, transmit_time;
+};
+
+TEST(Panda, SimMatchesPinnedRuns) {
+  const std::vector<PandaPin> pins = {
+      // w < 1.
+      {5, 0.06022, 0.6615, 2e4, 3, 4453, 662, 628,
+       {0x1.62734326f7fe6p+9, 0x1.6380cf6102a87p+9, 0x1.6fc66c7be48bdp+9,
+        0x1.7509b48ee9f4cp+9, 0x1.6393b168b1fbap+9},
+       {0x1.b88p+9, 0x1.b3p+9, 0x1.ba8p+9, 0x1.d54bdb42b448p+9, 0x1.b7p+9}},
+      // w > 1.
+      {8, 0.02, 2.5, 3e4, 4, 3391, 1132, 997,
+       {0x1.6549ec7000122p+10, 0x1.5b49945d7a9cap+10, 0x1.59a2c14f869d2p+10,
+        0x1.4d88d5e1dcc23p+10, 0x1.4c1a07e2f25c8p+10, 0x1.50f025bfc6cp+10,
+        0x1.503845de2044p+10, 0x1.3d67ef52c30adp+10},
+       {0x1.d2p+8, 0x1.c4p+8, 0x1.a5p+8, 0x1.a2p+8, 0x1.8dp+8, 0x1.abp+8,
+        0x1.99p+8, 0x1.90ffffffffffcp+8}},
+      // n = 2.
+      {2, 0.1, 0.4, 2e4, 5, 3205, 130, 130,
+       {0x1.63d77536632f8p+9, 0x1.5b5c0cf316d22p+9},
+       {0x1.944p+10, 0x1.8dp+10}},
+  };
+  for (const PandaPin& pin : pins) {
+    SCOPED_TRACE("n=" + std::to_string(pin.n) +
+                 " w=" + std::to_string(pin.listen_window));
+    const PandaSimDetail d = simulate_panda_detailed(
+        pin.n, pin.wake_rate, pin.listen_window, pin.duration, pin.seed);
+    EXPECT_EQ(d.packets, pin.packets);
+    EXPECT_EQ(d.receptions, pin.receptions);
+    EXPECT_EQ(d.packets_received_any, pin.packets_received_any);
+    EXPECT_EQ(d.listen_time, pin.listen_time);
+    EXPECT_EQ(d.transmit_time, pin.transmit_time);
+  }
 }
 
 // ------------------------------------------------------------- searchlight --

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "gibbs/p4_solver.h"
 #include "testbed/ez430.h"
@@ -146,6 +149,55 @@ TEST(Firmware, DeterministicPerSeed) {
   const TestbedResult b = run_testbed(cfg);
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_DOUBLE_EQ(a.groupput, b.groupput);
+}
+
+// Exact results of two 2 h runs, bit for bit: the paper benches print the
+// testbed only at table precision, so these pins are what holds a refactor
+// of the firmware loop to the same bits.
+struct FirmwarePin {
+  std::size_t n;
+  double budget_mw, sigma;
+  std::uint64_t seed;
+  double groupput;
+  std::uint64_t packets, bursts, pings_sent, pings_lost_collision,
+      pings_lost_decode;
+  std::vector<double> final_eta, modeled_power_mw;
+};
+
+TEST(Firmware, MatchesPinnedRuns) {
+  const std::vector<FirmwarePin> pins = {
+      {5, 1.0, 0.5, 11, 0x1.66054f43e32d2p-7, 8989, 210, 1475, 6, 34,
+       {0x1.50cd52b4bbc3p-5, 0x1.525767527a2f6p-5, 0x1.4836f3ed569dep-5,
+        0x1.488130d8a9dc9p-5, 0x1.53dfa4c1e2cep-5},
+       {0x1.79e04ee5bc826p+0, 0x1.7e9ed88e1c95dp+0, 0x1.79fbb0d408cf7p+0,
+        0x1.4947ad748632fp+0, 0x1.784f7b67f27cp+0}},
+      {8, 5.0, 0.25, 12, 0x1.0c7188f9287d6p-1, 76597, 2605, 70781, 1363, 1380,
+       {0x1.f79f8bc203cb1p-7, 0x1.fd7842acb771cp-7, 0x1.0bf79b837c51dp-6,
+        0x1.02a00aef66b56p-6, 0x1.09c6008e46448p-6, 0x1.0f7729d03a9fap-6,
+        0x1.064b5811d17b5p-6, 0x1.098a359df46aep-6},
+       {0x1.39059f6085c5p+3, 0x1.511c8ef528adbp+3, 0x1.4791462ff0b8bp+3,
+        0x1.527007fbb1142p+3, 0x1.62b20ac2f68b2p+3, 0x1.6e9fd7383b8a9p+3,
+        0x1.538bd1c603051p+3, 0x1.680d88e8b8c8ep+3}},
+  };
+  for (const FirmwarePin& pin : pins) {
+    SCOPED_TRACE("n=" + std::to_string(pin.n));
+    TestbedConfig cfg;
+    cfg.n = pin.n;
+    cfg.budget_mw = pin.budget_mw;
+    cfg.sigma = pin.sigma;
+    cfg.seed = pin.seed;
+    cfg.duration_ms = 2.0 * 3600e3;
+    cfg.warmup_ms = 0.5 * 3600e3;
+    const TestbedResult r = run_testbed(cfg);
+    EXPECT_EQ(r.groupput, pin.groupput);
+    EXPECT_EQ(r.packets, pin.packets);
+    EXPECT_EQ(r.bursts, pin.bursts);
+    EXPECT_EQ(r.pings_sent, pin.pings_sent);
+    EXPECT_EQ(r.pings_lost_collision, pin.pings_lost_collision);
+    EXPECT_EQ(r.pings_lost_decode, pin.pings_lost_decode);
+    EXPECT_EQ(r.final_eta, pin.final_eta);
+    EXPECT_EQ(r.modeled_power_mw, pin.modeled_power_mw);
+  }
 }
 
 TEST(Firmware, RejectsBadConfig) {
