@@ -1,11 +1,11 @@
 #include "baselines/panda.h"
 
-#include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/event_queue.h"
+#include "sim/node_id.h"
 #include "util/random.h"
 
 namespace econcast::baselines {
@@ -101,24 +101,6 @@ PandaDesign optimize_panda(std::size_t n, double budget, double listen_power,
   return best;
 }
 
-namespace {
-
-enum class PandaEvent : std::uint8_t { kWake, kWindowExpire, kPacketEnd };
-
-struct Ev {
-  double time;
-  std::uint64_t seq;
-  PandaEvent kind;
-  std::uint32_t node;
-  std::uint64_t stamp;
-  bool operator<(const Ev& o) const {
-    if (time != o.time) return time > o.time;  // min-heap via operator<
-    return seq > o.seq;
-  }
-};
-
-}  // namespace
-
 PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
                                        double listen_window, double duration,
                                        std::uint64_t seed) {
@@ -127,19 +109,17 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
   util::Rng rng(seed);
   enum class S : std::uint8_t { kSleep, kListen, kTransmit };
   std::vector<S> state(n, S::kSleep);
-  std::vector<std::uint64_t> stamp(n, 0);
   std::vector<std::uint8_t> locked(n, 0);  // receiving the current packet
   std::vector<double> state_since(n, 0.0);
   std::vector<double> listen_time(n, 0.0), transmit_time(n, 0.0);
-  int transmitter = -1;
+  bool on_air = false;  // a packet is being transmitted
 
-  std::priority_queue<Ev> q;
-  std::uint64_t seq = 0;
-  auto push = [&](double t, PandaEvent k, std::size_t i, std::uint64_t st) {
-    q.push(Ev{t, seq++, k, static_cast<std::uint32_t>(i), st});
-  };
-  for (std::size_t i = 0; i < n; ++i)
-    push(rng.exponential(wake_rate), PandaEvent::kWake, i, stamp[i]);
+  // A node's wake-up (while asleep) and its window expiry (while listening)
+  // share its kTransition slot, so scheduling one replaces the other.
+  sim::EventQueue q;
+  q.reserve_for_nodes(n);
+  for (sim::NodeId i = 0; i < n; ++i)
+    q.schedule(rng.exponential(wake_rate), sim::EventKind::kTransition, i);
 
   PandaSimDetail result;
   result.duration = duration;
@@ -151,55 +131,43 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
     state[i] = next;
     state_since[i] = now;
   };
+  auto go_to_sleep = [&](sim::NodeId i) {
+    set_state(i, S::kSleep);
+    q.schedule(now + rng.exponential(wake_rate), sim::EventKind::kTransition,
+               i);
+  };
 
   while (!q.empty() && q.top().time <= duration) {
-    const Ev e = q.top();
-    q.pop();
+    const sim::Event e = q.pop();
     now = e.time;
-    const std::size_t i = e.node;
-    switch (e.kind) {
-      case PandaEvent::kWake:
-        if (e.stamp != stamp[i]) break;
-        set_state(i, S::kListen);
-        push(now + listen_window, PandaEvent::kWindowExpire, i, stamp[i]);
-        break;
-      case PandaEvent::kWindowExpire:
-        if (e.stamp != stamp[i] || state[i] != S::kListen) break;
-        if (transmitter >= 0) {
-          // Woke into an ongoing packet it cannot decode: abort and sleep.
-          set_state(i, S::kSleep);
-          ++stamp[i];
-          push(now + rng.exponential(wake_rate), PandaEvent::kWake, i,
-               stamp[i]);
-        } else {
-          set_state(i, S::kTransmit);
-          transmitter = static_cast<int>(i);
-          ++result.packets;
-          for (std::size_t j = 0; j < n; ++j)
-            if (state[j] == S::kListen) locked[j] = 1;  // hears packet start
-          push(now + 1.0, PandaEvent::kPacketEnd, i, 0);
+    const sim::NodeId i = e.node;
+    if (e.kind == sim::EventKind::kPacketEnd) {
+      on_air = false;
+      bool delivered = false;
+      for (sim::NodeId j = 0; j < n; ++j) {
+        if (locked[j]) {
+          locked[j] = 0;
+          ++result.receptions;
+          delivered = true;
+          go_to_sleep(j);
         }
-        break;
-      case PandaEvent::kPacketEnd: {
-        transmitter = -1;
-        bool delivered = false;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (locked[j]) {
-            locked[j] = 0;
-            ++result.receptions;
-            delivered = true;
-            set_state(j, S::kSleep);
-            ++stamp[j];
-            push(now + rng.exponential(wake_rate), PandaEvent::kWake, j,
-                 stamp[j]);
-          }
-        }
-        if (delivered) ++result.packets_received_any;
-        set_state(i, S::kSleep);
-        ++stamp[i];
-        push(now + rng.exponential(wake_rate), PandaEvent::kWake, i, stamp[i]);
-        break;
       }
+      if (delivered) ++result.packets_received_any;
+      go_to_sleep(i);
+    } else if (state[i] == S::kSleep) {  // wake-up
+      set_state(i, S::kListen);
+      q.schedule(now + listen_window, sim::EventKind::kTransition, i);
+    } else if (on_air) {
+      // Window expired mid-packet: the node woke into an ongoing packet it
+      // cannot decode, so it aborts and sleeps.
+      go_to_sleep(i);
+    } else {
+      set_state(i, S::kTransmit);
+      on_air = true;
+      ++result.packets;
+      for (std::size_t j = 0; j < n; ++j)
+        if (state[j] == S::kListen) locked[j] = 1;  // hears packet start
+      q.push(now + 1.0, sim::EventKind::kPacketEnd, i);
     }
   }
   now = duration;

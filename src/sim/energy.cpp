@@ -37,6 +37,11 @@ void EnergyLedger::set_draw(std::size_t i, double draw, double now) noexcept {
   draw_[i] = draw;
 }
 
+void EnergyLedger::charge(std::size_t i, double energy) noexcept {
+  level_[i] -= energy;
+  consumed_[i] += energy;
+}
+
 double EnergyLedger::level(std::size_t i, double now) const noexcept {
   const double dt = now - last_[i];
   return level_[i] + (harvest_[i] - draw_[i]) * dt;

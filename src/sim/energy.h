@@ -30,6 +30,10 @@ class EnergyLedger {
   /// first; `now` must be non-decreasing across calls on the same slot.
   void set_draw(std::size_t i, double draw, double now) noexcept;
 
+  /// Draws a lump of `energy` at one instant, on top of the draw rate: the
+  /// level falls and the consumption grows by it.
+  void charge(std::size_t i, double energy) noexcept;
+
   /// Storage level at `now` (>= last settle point).
   double level(std::size_t i, double now) const noexcept;
 

@@ -1,10 +1,12 @@
 #include "testbed/firmware.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "econcast/multiplier.h"
+#include "econcast/rates.h"
+#include "sim/energy.h"
 #include "sim/event_queue.h"
 #include "sim/node_id.h"
 #include "util/random.h"
@@ -18,14 +20,11 @@ namespace {
 enum class S : std::uint8_t { kSleep, kListen, kTransmit };
 
 struct Node {
+  proto::MultiplierTracker multiplier;  // η, eq. (17)
   S state = S::kSleep;
-  double eta = 0.0;
-  double drift = 1.0;            // sleep-clock factor
-  double state_since = 0.0;
-  double consumed = 0.0;         // modeled energy, mW*ms
+  double drift = 1.0;  // sleep-clock factor
   double consumed_at_warmup = 0.0;
   double interval_start_balance = 0.0;  // virtual battery at interval start
-  std::size_t interval_k = 1;
 };
 
 }  // namespace
@@ -40,21 +39,34 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
   const double L = hw.listen_power_mw;
   const double X = hw.transmit_power_mw;
   const double packet = hw.packet_ms;
-  // Eq. (17) step, auto-scaled to the mW unit system (see SimConfig).
-  const double delta = cfg.step_gain * cfg.sigma / (L * cfg.budget_mw);
+  // Rates (18a)-(18e) per packet-time; the theory's unit packet is `packet`
+  // ms long, so a per-ms rate is the controller's rate over `packet`.
+  const proto::RateController rates(L, X, cfg.sigma, proto::Variant::kCapture,
+                                    model::Mode::kGroupput);
+  // Eq. (17) with constant (δ, τ), δ auto-scaled to the mW unit system (see
+  // SimConfig); τ ticks on each node's drifting clock.
+  const proto::MultiplierConfig multiplier{
+      proto::StepSchedule::kConstant,
+      cfg.step_gain * cfg.sigma / (L * cfg.budget_mw), cfg.tau_ms, 0.0};
 
   util::Rng rng(cfg.seed);
-  std::vector<Node> nodes(cfg.n);
+  std::vector<Node> nodes(cfg.n, Node{proto::MultiplierTracker(multiplier)});
   for (auto& nd : nodes)
     nd.drift = rng.uniform(1.0 - hw.sleep_clock_drift,
                            1.0 + hw.sleep_clock_drift);
+  // Modeled consumption, mW*ms. Only consumed() is read: the virtual battery
+  // below is budget·now − consumed, as the firmware keeps it.
+  sim::EnergyLedger ledger;
+  ledger.reserve(cfg.n);
+  for (std::size_t i = 0; i < cfg.n; ++i) ledger.add(cfg.budget_mw, 0.0);
 
+  // The same queue, capacity policy and cancel-on-reschedule contract as
+  // proto::Simulation and the Panda simulator.
   sim::EventQueue queue;
-  queue.reserve_for_nodes(cfg.n);  // shared policy with proto::Simulation
+  queue.reserve_for_nodes(cfg.n);
   double now = 0.0;
 
   int transmitter = -1;  // clique: at most one
-  bool in_ping_interval = false;
   int pending_estimate = 0;
   std::uint64_t burst_packets = 0;
   bool burst_any = false;
@@ -74,45 +86,42 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
     return 0.0;
   };
   auto settle = [&](std::size_t i) {
-    Node& nd = nodes[i];
-    nd.consumed += draw_of(nd.state) * (now - nd.state_since);
-    nd.state_since = now;
+    ledger.set_draw(i, draw_of(nodes[i].state), now);
   };
   auto set_state = [&](std::size_t i, S next) {
-    settle(i);
+    ledger.set_draw(i, draw_of(next), now);
     nodes[i].state = next;
   };
   auto balance = [&](std::size_t i) {
     settle(i);
-    return cfg.budget_mw * now - nodes[i].consumed;  // virtual battery level
+    return cfg.budget_mw * now - ledger.consumed(i, now);  // virtual battery
   };
 
-  // Per-ms transition rates; the theory's unit packet is `packet` ms long.
-  auto rate_sl = [&](const Node& nd) {
-    return std::exp(std::clamp(-nd.eta * L / cfg.sigma, -700.0, 700.0)) /
-           (packet * nd.drift);  // sleep timer runs on the drifting clock
-  };
-  auto rate_ls = [&](const Node&) { return 1.0 / packet; };
-  auto rate_lx = [&](const Node& nd) {
-    return std::exp(std::clamp(nd.eta * (L - X) / cfg.sigma, -700.0, 700.0)) /
-           packet;
+  // Per-ms rates out of listening on an idle channel: to sleep (18b) and to
+  // transmit (18c).
+  auto listen_rates = [&](std::size_t i) {
+    return std::pair{
+        rates.listen_to_sleep(true) / packet,
+        rates.listen_to_transmit(nodes[i].multiplier.eta(), 0.0, true) /
+            packet};
   };
 
   auto schedule_transition = [&](NodeId i) {
-    Node& nd = nodes[i];
     // The queue owns invalidation: a re-schedule (or a bare cancel when the
-    // node is gated) removes the pending transition — the same contract
-    // proto::Simulation uses.
+    // node is gated) removes the pending transition.
     queue.cancel(i, sim::EventKind::kTransition);
     if (transmitter >= 0) return;  // gated: resampled on release
     double rate = 0.0;
-    switch (nd.state) {
-      case S::kSleep:
-        rate = rate_sl(nd);
+    switch (nodes[i].state) {
+      case S::kSleep:  // (18a); the sleep timer runs on the drifting clock
+        rate = rates.sleep_to_listen(nodes[i].multiplier.eta(), true) /
+               (packet * nodes[i].drift);
         break;
-      case S::kListen:
-        rate = rate_ls(nd) + rate_lx(nd);
+      case S::kListen: {
+        const auto [r_s, r_x] = listen_rates(i);
+        rate = r_s + r_x;
         break;
+      }
       case S::kTransmit:
         return;
     }
@@ -175,7 +184,8 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
   // --- initialization ------------------------------------------------------
   for (NodeId i = 0; i < cfg.n; ++i) {
     schedule_transition(i);
-    queue.push(cfg.tau_ms * nodes[i].drift, sim::EventKind::kIntervalEnd, i);
+    queue.push(nodes[i].multiplier.next_interval_length() * nodes[i].drift,
+               sim::EventKind::kIntervalEnd, i);
   }
   queue.push(cfg.warmup_ms, sim::EventKind::kCustom, 0);
 
@@ -186,13 +196,12 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
     const NodeId i = e.node;
     switch (e.kind) {
       case sim::EventKind::kTransition: {
-        Node& nd = nodes[i];
         if (transmitter >= 0) break;  // cancelled events never surface
-        if (nd.state == S::kSleep) {
+        if (nodes[i].state == S::kSleep) {
           set_state(i, S::kListen);
           schedule_transition(i);
-        } else if (nd.state == S::kListen) {
-          const double r_s = rate_ls(nd), r_x = rate_lx(nd);
+        } else if (nodes[i].state == S::kListen) {
+          const auto [r_s, r_x] = listen_rates(i);
           if (rng.uniform() * (r_s + r_x) < r_s) {
             set_state(i, S::kSleep);
             schedule_transition(i);
@@ -218,9 +227,8 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
         // top of their listen draw); the transmitter listens for pings.
         for (std::size_t j = 0; j < cfg.n; ++j)
           if (nodes[j].state == S::kListen)
-            nodes[j].consumed += (X - L) * hw.ping_ms;
+            ledger.charge(j, (X - L) * hw.ping_ms);
         set_state(i, S::kListen);  // transmitter listens during the interval
-        in_ping_interval = true;
         pending_estimate = run_ping_interval(recipients);
         if (now >= cfg.warmup_ms)
           result.ping_distribution.add(
@@ -230,10 +238,7 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
       }
       case sim::EventKind::kPingSlot: {
         // End of the pinging interval: capture decision per (18e).
-        in_ping_interval = false;
-        const double p_continue =
-            1.0 - std::exp(-static_cast<double>(pending_estimate) / cfg.sigma);
-        if (rng.bernoulli(p_continue)) {
+        if (rng.bernoulli(rates.continue_probability(pending_estimate))) {
           set_state(i, S::kTransmit);
           start_packet(i);
         } else {
@@ -244,14 +249,10 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
       case sim::EventKind::kIntervalEnd: {
         Node& nd = nodes[i];
         const double level = balance(i);
-        // Eq. (17) with constant (δ, τ); τ ticks on the drifting clock.
-        nd.eta = std::max(
-            0.0, nd.eta - delta / cfg.tau_ms *
-                              (level - nd.interval_start_balance));
+        nd.multiplier.update(level - nd.interval_start_balance);
         nd.interval_start_balance = level;
-        ++nd.interval_k;
-        queue.push(now + cfg.tau_ms * nd.drift, sim::EventKind::kIntervalEnd,
-                   i);
+        queue.push(now + nd.multiplier.next_interval_length() * nd.drift,
+                   sim::EventKind::kIntervalEnd, i);
         if (nd.state != S::kTransmit && transmitter < 0)
           schedule_transition(i);
         break;
@@ -259,7 +260,7 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
       case sim::EventKind::kCustom:
         for (std::size_t j = 0; j < cfg.n; ++j) {
           settle(j);
-          nodes[j].consumed_at_warmup = nodes[j].consumed;
+          nodes[j].consumed_at_warmup = ledger.consumed(j, now);
         }
         break;
       case sim::EventKind::kEnergyDepleted:
@@ -279,7 +280,7 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
   for (std::size_t j = 0; j < cfg.n; ++j) {
     settle(j);
     const double modeled =
-        (nodes[j].consumed - nodes[j].consumed_at_warmup) / window;
+        (ledger.consumed(j, now) - nodes[j].consumed_at_warmup) / window;
     result.modeled_power_mw[j] = modeled;
     result.actual_power_mw[j] =
         modeled * (1.0 + hw.overhead_fraction) + hw.overhead_const_mw;
@@ -287,13 +288,12 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
     ratio_sum += ratio;
     ratio_min = std::min(ratio_min, ratio);
     ratio_max = std::max(ratio_max, ratio);
-    result.final_eta[j] = nodes[j].eta;
+    result.final_eta[j] = nodes[j].multiplier.eta();
   }
   result.queue_stats = queue.stats();
   result.battery_ratio_mean = ratio_sum / static_cast<double>(cfg.n);
   result.battery_ratio_min = ratio_min;
   result.battery_ratio_max = ratio_max;
-  (void)in_ping_interval;
   return result;
 }
 
