@@ -165,8 +165,14 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
       set_state(i, S::kTransmit);
       on_air = true;
       ++result.packets;
-      for (std::size_t j = 0; j < n; ++j)
-        if (state[j] == S::kListen) locked[j] = 1;  // hears packet start
+      // Every listener hears the packet start and receives the packet to its
+      // end, so its window expiry no longer applies.
+      for (sim::NodeId j = 0; j < n; ++j) {
+        if (state[j] == S::kListen) {
+          locked[j] = 1;
+          q.cancel(j, sim::EventKind::kTransition);
+        }
+      }
       q.push(now + 1.0, sim::EventKind::kPacketEnd, i);
     }
   }

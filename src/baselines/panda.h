@@ -3,20 +3,24 @@
 // sleep -> listen -> {receive | transmit}:
 //   * sleep for Exp(λ);
 //   * on waking, listen for a window of w packet-times;
-//   * if a packet *starts* during the window, receive it and sleep;
+//   * if a packet *starts* during the window, the window ends there: the
+//     node keeps listening to the packet's end, receives it and sleeps;
 //   * if the window expires with the channel idle, transmit one unit packet
 //     and sleep; if it expires mid-packet (the node woke into an ongoing
 //     transmission it cannot decode), abort and sleep.
 // Panda needs to know N and ρ to tune λ (and w) — one of the coordination
 // requirements EconCast removes (§V-B).
 //
-// The analytical model is a renewal-reward approximation (documented in
-// DESIGN.md): cycles of E[C] = 1/(Nλ) + w + 1 with (N-1)(1-e^{-λw}) expected
-// receptions, and per-node energy
+// The analytical model is a renewal-reward approximation: cycles of
+// E[C] = 1/(Nλ) + w + 1 with (N-1)(1-e^{-λw}) expected receptions, and
+// per-node energy
 //   E = (1/N)(wL + X) + ((N-1)/N)[(1-e^{-λw})(w/2+1)L + e^{-λw}(1-e^{-λ})wL].
 // We optimize both λ and w under P = E/E[C] <= ρ, which upper-bounds the
 // published protocol (the paper itself compares against Panda's *analytical*
 // throughput, §VIII-D). An event-driven simulator cross-checks the model.
+// Its power reads above the model's (10.16 mW at a 10 mW design with
+// L = X = 500, 5.27 mW at a 5 mW design with the eZ430 powers); the
+// renewal model is an approximation and is left as it is.
 #ifndef ECONCAST_BASELINES_PANDA_H
 #define ECONCAST_BASELINES_PANDA_H
 

@@ -155,21 +155,21 @@ struct PandaPin {
 TEST(Panda, SimMatchesPinnedRuns) {
   const std::vector<PandaPin> pins = {
       // w < 1.
-      {5, 0.06022, 0.6615, 2e4, 3, 4453, 662, 628,
-       {0x1.62734326f7fe6p+9, 0x1.6380cf6102a87p+9, 0x1.6fc66c7be48bdp+9,
-        0x1.7509b48ee9f4cp+9, 0x1.6393b168b1fbap+9},
-       {0x1.b88p+9, 0x1.b3p+9, 0x1.ba8p+9, 0x1.d54bdb42b448p+9, 0x1.b7p+9}},
+      {5, 0.06022, 0.6615, 2e4, 3, 4399, 701, 659,
+       {0x1.a36bfcbc84b12p+9, 0x1.973255a0873f3p+9, 0x1.a610d852af506p+9,
+        0x1.8e53bfc3f846p+9, 0x1.81f3a1ee6e2fap+9},
+       {0x1.d1p+9, 0x1.bc8p+9, 0x1.c6p+9, 0x1.a7p+9, 0x1.9dp+9}},
       // w > 1.
-      {8, 0.02, 2.5, 3e4, 4, 3391, 1132, 997,
-       {0x1.6549ec7000122p+10, 0x1.5b49945d7a9cap+10, 0x1.59a2c14f869d2p+10,
-        0x1.4d88d5e1dcc23p+10, 0x1.4c1a07e2f25c8p+10, 0x1.50f025bfc6cp+10,
-        0x1.503845de2044p+10, 0x1.3d67ef52c30adp+10},
-       {0x1.d2p+8, 0x1.c4p+8, 0x1.a5p+8, 0x1.a2p+8, 0x1.8dp+8, 0x1.abp+8,
-        0x1.99p+8, 0x1.90ffffffffffcp+8}},
+      {8, 0.02, 2.5, 3e4, 4, 3375, 1172, 1024,
+       {0x1.403e8920733fp+10, 0x1.4cd624fdb1601p+10, 0x1.5e666479e85e2p+10,
+        0x1.5d4544d45da1bp+10, 0x1.59c8aaab749e8p+10, 0x1.541cc86c8e2a2p+10,
+        0x1.5fd9fbd69de0cp+10, 0x1.6ebce85164cffp+10},
+       {0x1.83p+8, 0x1.a4p+8, 0x1.a6p+8, 0x1.b1p+8, 0x1.adp+8, 0x1.99p+8,
+        0x1.a6p+8, 0x1.c5p+8}},
       // n = 2.
-      {2, 0.1, 0.4, 2e4, 5, 3205, 130, 130,
-       {0x1.63d77536632f8p+9, 0x1.5b5c0cf316d22p+9},
-       {0x1.944p+10, 0x1.8dp+10}},
+      {2, 0.1, 0.4, 2e4, 5, 3188, 119, 119,
+       {0x1.723a6e12b8e24p+9, 0x1.7829bba96fa39p+9},
+       {0x1.8e4p+10, 0x1.8ecp+10}},
   };
   for (const PandaPin& pin : pins) {
     SCOPED_TRACE("n=" + std::to_string(pin.n) +
