@@ -172,6 +172,22 @@ TEST(LintFixtures, RawThreads) {
             (std::vector<std::size_t>{9, 10, 11, 12, 13}));
 }
 
+TEST(LintFixtures, RawHeap) {
+  const ScanResult r = scan_fixture("violations/raw_heap.cpp");
+  EXPECT_EQ(r.findings.size(), 4u);
+  EXPECT_EQ(lines_of(r, "raw-heap"),
+            (std::vector<std::size_t>{13, 14, 15, 17}));
+}
+
+TEST(LintFixtures, RawHeapIsAllowedOnlyInSim) {
+  const Config config =
+      econcast::lint::load_config(kSourceDir + "/lint.json");
+  const std::string text = "std::priority_queue<int> q;\n";
+  EXPECT_TRUE(scan_text(text, config, "src/sim/heap.cpp").findings.empty());
+  const ScanResult r = scan_text(text, config, "src/baselines/heap.cpp");
+  EXPECT_EQ(lines_of(r, "raw-heap"), (std::vector<std::size_t>{1}));
+}
+
 TEST(LintFixtures, MalformedAnnotationsAreFindingsAndDoNotSuppress) {
   const ScanResult r = scan_fixture("violations/bad_nolint.cpp");
   EXPECT_EQ(r.findings.size(), 4u);
@@ -303,6 +319,7 @@ TEST(LintCli, ExitCodeContract) {
   EXPECT_NE(out.find("[wall-clock]"), std::string::npos);
   EXPECT_NE(out.find("[raw-thread]"), std::string::npos);
   EXPECT_NE(out.find("[raw-hash]"), std::string::npos);
+  EXPECT_NE(out.find("[raw-heap]"), std::string::npos);
 
   // 2: usage — no paths, unknown flag, missing scan path.
   EXPECT_EQ(run_cli({}, &out, &err), 2);

@@ -98,6 +98,15 @@ const std::vector<RuleSpec>& rule_specs() {
        {{"std::hash", MatchKind::kExact},
         {"hash_value", MatchKind::kCall},
         {"hash_combine", MatchKind::kCall}}},
+      {"raw-heap",
+       "std::priority_queue or the <algorithm> heap calls outside src/sim",
+       "a private event heap carries its own tie-break for equal times, "
+       "outside the (time, seq) order sim::EventQueue documents; schedule "
+       "on sim::EventQueue instead",
+       {{"priority_queue", MatchKind::kExact},
+        {"make_heap", MatchKind::kExact},
+        {"push_heap", MatchKind::kExact},
+        {"pop_heap", MatchKind::kExact}}},
       {"nolint",
        "malformed or unknown NOLINT-DETERMINISM annotation",
        "a typo in a suppression must not silently disable a rule",
