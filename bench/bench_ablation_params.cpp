@@ -1,4 +1,4 @@
-// Ablations for the design choices DESIGN.md calls out (§V-F of the paper):
+// Ablations for the protocol's design choices (§V-F of the paper):
 //   A. σ — throughput vs burstiness tension (the core design dial).
 //   B. multiplier step gain and interval τ — "adapting quickly but poorly"
 //      vs "optimally but slowly".

@@ -3,7 +3,7 @@
 // ("Ideal", T~/T^σ) and from the actual measured consumption ("Relaxed",
 // T~/T̄^σ), plus the virtual-battery variance markers, for
 // N ∈ {5, 10} x ρ ∈ {1, 5} mW x σ ∈ {0.25, 0.5} on the emulated
-// TI eZ430-RF2500-SEH nodes (see DESIGN.md §5 for the substitution).
+// TI eZ430-RF2500-SEH nodes (testbed/ez430.h describes the substitution).
 #include <cstdio>
 #include <iostream>
 

@@ -7,9 +7,9 @@
 // Serializable specs are the declarative subset: named topology kinds
 // ("clique"/"line"/"ring"/"grid"), explicit "edge_list" graphs, and the
 // named node-set kinds ("homogeneous", and "sampled" — the §VII-B
-// heterogeneity process with its h axis and sampling seed). Installing a
-// custom topology/node-set std::function on a SweepSpec makes to_json throw
-// — those sweeps stay code.
+// heterogeneity process with its h axis and sampling seed). A SweepSpec
+// holds only these kinds, so its topology and node set always serialize;
+// to_json throws only for a protocol that has no JSON parameter codec.
 //
 // Manifests carry a schema_version (currently 2; version 1 files, which
 // predate node-set objects and edge lists, still load). Unknown versions

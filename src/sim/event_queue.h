@@ -117,7 +117,8 @@ class EventQueue {
   /// Pre-sizes the queue for an `n`-node simulation: heap storage per
   /// capacity_for_nodes plus the position map over all n·kEventKindCount
   /// slots (the lanes grow on demand, to at most one entry per node).
-  /// Both proto::Simulation and testbed::run_testbed call this.
+  /// proto::Simulation, baselines::simulate_panda_detailed and
+  /// testbed::run_testbed call this.
   void reserve_for_nodes(std::size_t n);
 
   /// Enters a durable event: it stays live until popped. Throws

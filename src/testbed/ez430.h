@@ -3,10 +3,11 @@
 // overhead that makes the actual draw exceed the modeled draw (§VIII-B), and
 // the capacitor-discharge energy-measurement procedure of eqs. (25)-(26).
 //
-// This substitutes for the physical testbed (see DESIGN.md §5): every loss
-// mechanism the paper attributes to the hardware — ping-interval overhead,
-// ping collisions and failed decodings, sleep-clock drift, regulator draw —
-// is modeled explicitly so the same code paths are exercised.
+// This substitutes for the physical testbed (firmware.h runs the protocol
+// on it): every loss mechanism the paper attributes to the hardware —
+// ping-interval overhead, ping collisions and failed decodings, sleep-clock
+// drift, regulator draw — is modeled explicitly so the same code paths are
+// exercised.
 #ifndef ECONCAST_TESTBED_EZ430_H
 #define ECONCAST_TESTBED_EZ430_H
 
