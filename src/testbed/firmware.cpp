@@ -68,7 +68,6 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
 
   int transmitter = -1;  // clique: at most one
   int pending_estimate = 0;
-  std::uint64_t burst_packets = 0;
   bool burst_any = false;
   double group_credit = 0.0;
 
@@ -141,7 +140,6 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
   auto begin_burst = [&](NodeId i) {
     set_state(i, S::kTransmit);
     transmitter = static_cast<int>(i);
-    burst_packets = 0;
     burst_any = false;
     start_packet(i);
   };
@@ -221,7 +219,6 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
           ++result.packets;
           group_credit += packet * static_cast<double>(recipients);
         }
-        ++burst_packets;
         burst_any |= recipients > 0;
         // Pinging interval: recipients ping (paying the TX-ping premium on
         // top of their listen draw); the transmitter listens for pings.
