@@ -129,6 +129,18 @@ TEST(EnergyLedger, SlotsDoNotInteract) {
   EXPECT_DOUBLE_EQ(e.consumed(1, 6.0), 2.0);
 }
 
+TEST(EnergyLedger, ChargeIsALumpOnTopOfTheDraw) {
+  EnergyLedger e;
+  e.add(1.0, 0.0);
+  e.add(1.0, 0.0);
+  e.set_draw(0, 2.0, 0.0);
+  e.charge(0, 0.5);  // mid-interval: the draw keeps running
+  EXPECT_DOUBLE_EQ(e.consumed(0, 3.0), 6.5);  // 2*3 + 0.5
+  EXPECT_DOUBLE_EQ(e.level(0, 3.0), -3.5);    // (1-2)*3 - 0.5
+  EXPECT_DOUBLE_EQ(e.consumed(1, 3.0), 0.0);  // other slot untouched
+  EXPECT_DOUBLE_EQ(e.level(1, 3.0), 3.0);
+}
+
 // ---------------------------------------------------------------- channel --
 
 TEST(Channel, CliqueCarrierSense) {
