@@ -10,6 +10,8 @@
 
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,14 +33,26 @@ inline void banner(const char* experiment, const char* description) {
   std::printf("================================================================\n");
 }
 
-/// Reads an integer knob from argv ("--samples=N" style positional override)
-/// falling back to `def`. Benches accept a single optional positional arg to
-/// scale their workload; "--flag" arguments are skipped.
+/// Reads the workload knob: the first positional argument, falling back to
+/// `def` when there is none ("--flag" arguments are skipped). A positional
+/// argument that is not a positive decimal integer, with nothing after the
+/// digits and within `long`, prints a usage line and exits 2.
 inline long knob(int argc, char** argv, long def) {
   for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] == '-') continue;
-    const long v = std::atol(argv[i]);
-    return v > 0 ? v : def;
+    const char* arg = argv[i];
+    if (arg[0] == '-') continue;
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(arg, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(arg[0])) || *end != '\0' ||
+        errno == ERANGE || v <= 0) {
+      std::fprintf(stderr,
+                   "usage: %s [N] [--flags]: the workload knob N must be a "
+                   "positive integer, got '%s'\n",
+                   argv[0], arg);
+      std::exit(2);
+    }
+    return v;
   }
   return def;
 }

@@ -29,7 +29,7 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
       topo_(std::move(topology)),
       config_(std::move(config)),
       estimator_(config_.estimator),
-      rng_(config_.seed, util::Rng::kDefaultBlock),
+      rng_(config_.seed),
       queue_(&arena_),
       channel_(topo_, &arena_),
       metrics_(nodes_.size()),
@@ -182,8 +182,7 @@ void Simulation::schedule_transition(NodeId i) {
         // packet-time of listening before it competes to wake again. The
         // tolerance and slack keep floating-point round-off from
         // re-arming the refill timer at ~zero intervals.
-        const double refill =
-            config_.guard_floor + nodes_[i].listen_power;
+        const double refill = nodes_[i].listen_power;
         const double level = energy_.level(i, now_);
         const double deficit = refill - level;
         if (deficit > 1e-9 * refill) {
@@ -200,7 +199,7 @@ void Simulation::schedule_transition(NodeId i) {
         // Brown-out watchdog: fires even while carrier-gated (a listener
         // pinned inside a long burst still drains its storage).
         const double level = energy_.level(i, now_);
-        const double dt = std::max(0.0, level - config_.guard_floor) /
+        const double dt = std::max(0.0, level) /
                           (nodes_[i].listen_power - nodes_[i].budget);
         guard = true;
         guard_time = now_ + dt;
@@ -321,8 +320,7 @@ void Simulation::handle_packet_end(NodeId i) {
   // The energy guard refuses to extend a burst the node cannot pay for.
   const bool can_afford =
       !config_.energy_guard ||
-      energy_.level(i, now_) - config_.guard_floor >=
-          nodes_[i].transmit_power;
+      energy_.level(i, now_) >= nodes_[i].transmit_power;
   if (can_afford &&
       rng_.bernoulli(
           rates_[i].continue_probability(static_cast<double>(estimate)))) {

@@ -62,15 +62,9 @@ struct SimConfig {
   std::uint64_t seed = 1;
   double initial_energy = 0.0;
 
-  /// Report the event-queue instrumentation counters through
-  /// protocol::SimResult::extras ("queue_pushes", "queue_pops",
-  /// "queue_cancels", "queue_peak_live"). Off by default so existing
-  /// outputs are byte-identical.
-  bool report_queue_stats = false;
-
   /// Physical-storage guard (off by default to match the paper's idealized
   /// §VII model, where b(t) is unbounded). When enabled, a node whose
-  /// storage reaches `guard_floor` browns out: it is forced to sleep (an
+  /// storage runs empty browns out: it is forced to sleep (an
   /// in-progress reception is lost) and may not wake again until it has
   /// recharged enough to afford one packet-time of listening. A transmitter
   /// will not extend a burst it cannot pay for. This bounds the giant
@@ -83,7 +77,6 @@ struct SimConfig {
   /// makes the guard invisible in steady state while still truncating the
   /// e^{(N-1)/σ}-packet transient captures.
   bool energy_guard = false;
-  double guard_floor = 0.0;
 
   /// Tally time per network state (cliques, N <= 16 only).
   bool track_state_occupancy = false;
@@ -111,8 +104,7 @@ struct SimResult {
   std::uint64_t events_processed = 0;
 
   /// Event-queue instrumentation (always collected — it is a handful of
-  /// counters); surfaced into protocol extras only when
-  /// SimConfig::report_queue_stats is set.
+  /// counters). protocol::SimResult does not carry it.
   sim::QueueStats queue_stats;
 
   /// Normalized time-in-state (indexed by model::state_index); empty unless

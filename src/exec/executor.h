@@ -65,8 +65,6 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  std::size_t num_workers() const noexcept { return workers_.size(); }
-
   /// Runs fn(i) for every i in [0, n), distributing indices across this
   /// executor's workers plus the calling thread; tasks start in ascending
   /// index order. Blocks until the batch is complete. `max_parallelism`

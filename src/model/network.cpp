@@ -102,25 +102,6 @@ bool Topology::is_clique() const noexcept {
   return true;
 }
 
-bool Topology::is_connected() const {
-  std::vector<bool> seen(n_, false);
-  std::vector<std::size_t> stack{0};
-  seen[0] = true;
-  std::size_t count = 1;
-  while (!stack.empty()) {
-    const std::size_t u = stack.back();
-    stack.pop_back();
-    for (const std::size_t v : adj_[u]) {
-      if (!seen[v]) {
-        seen[v] = true;
-        ++count;
-        stack.push_back(v);
-      }
-    }
-  }
-  return count == n_;
-}
-
 std::size_t Topology::edge_count() const noexcept {
   std::size_t deg_sum = 0;
   for (const auto& a : adj_) deg_sum += a.size();

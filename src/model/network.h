@@ -40,7 +40,6 @@ class Topology {
   std::size_t degree(std::size_t i) const { return neighbors(i).size(); }
 
   bool is_clique() const noexcept;
-  bool is_connected() const;
   std::size_t edge_count() const noexcept;
   /// Every undirected edge once, as (i, j) pairs with i < j in ascending
   /// order — the inverse of from_edges up to edge ordering (serializers and

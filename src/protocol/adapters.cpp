@@ -20,16 +20,6 @@ namespace {
 
 // ---------------------------------------------------------------- helpers --
 
-/// Queue instrumentation -> extras, shared by the two discrete-event
-/// protocols (econcast and the testbed firmware). Opt-in per config so
-/// default outputs stay byte-identical.
-void report_queue_stats(SimResult& out, const sim::QueueStats& stats) {
-  out.extras["queue_pushes"] = static_cast<double>(stats.pushes);
-  out.extras["queue_pops"] = static_cast<double>(stats.pops);
-  out.extras["queue_cancels"] = static_cast<double>(stats.cancels);
-  out.extras["queue_peak_live"] = static_cast<double>(stats.peak_live);
-}
-
 void require_clique(const model::Topology& topology, const char* protocol) {
   if (!topology.is_clique())
     throw std::invalid_argument(std::string(protocol) +
@@ -94,11 +84,9 @@ class EconCastProtocol final : public Protocol {
                                 std::uint64_t seed) const override {
     proto::SimConfig config = params_.config;
     config.seed = seed;
-    const bool queue_stats = config.report_queue_stats;
     return std::make_unique<LambdaSim>(
         [sim = std::make_shared<proto::Simulation>(nodes, topology,
-                                                   std::move(config)),
-         queue_stats] {
+                                                   std::move(config))] {
           proto::SimResult r = sim->run();
           SimResult out;
           out.measured_window = r.measured_window;
@@ -116,7 +104,6 @@ class EconCastProtocol final : public Protocol {
               static_cast<double>(r.corrupted_receptions);
           out.extras["events_processed"] =
               static_cast<double>(r.events_processed);
-          if (queue_stats) report_queue_stats(out, r.queue_stats);
           return out;
         });
   }
@@ -334,8 +321,7 @@ class BirthdayProtocol final : public Protocol {
 
 class SearchlightBoundProtocol final : public Protocol {
  public:
-  explicit SearchlightBoundProtocol(SearchlightParams params)
-      : params_(params) {}
+  explicit SearchlightBoundProtocol(SearchlightParams /*params*/) {}
 
   std::string name() const override { return "searchlight-bound"; }
 
@@ -348,8 +334,6 @@ class SearchlightBoundProtocol final : public Protocol {
     baselines::SearchlightConfig config;
     config.budget = node.budget;
     config.listen_power = node.listen_power;
-    config.slot_seconds = params_.slot_seconds;
-    config.beacon_seconds = params_.beacon_seconds;
     return std::make_unique<LambdaSim>([n = nodes.size(), config] {
       const baselines::SearchlightResult r =
           baselines::analyze_searchlight(config);
@@ -364,9 +348,6 @@ class SearchlightBoundProtocol final : public Protocol {
       return out;
     });
   }
-
- private:
-  SearchlightParams params_;
 };
 
 // ------------------------------------------------------- econcast-testbed --
@@ -391,11 +372,8 @@ class TestbedProtocol final : public Protocol {
     config.sigma = params_.sigma;
     config.duration_ms = params_.duration_ms;
     config.warmup_ms = params_.warmup_ms;
-    config.observer = params_.observer;
     config.seed = seed;
-    return std::make_unique<LambdaSim>([config,
-                                        queue_stats =
-                                            params_.report_queue_stats] {
+    return std::make_unique<LambdaSim>([config] {
       const testbed::TestbedResult r = testbed::run_testbed(config);
       SimResult out;
       out.measured_window = r.measured_window_ms;
@@ -411,7 +389,6 @@ class TestbedProtocol final : public Protocol {
           static_cast<double>(r.pings_lost_collision);
       out.extras["pings_lost_decode"] =
           static_cast<double>(r.pings_lost_decode);
-      if (queue_stats) report_queue_stats(out, r.queue_stats);
       return out;
     });
   }

@@ -133,24 +133,19 @@ struct BirthdayParams {
 
 /// "searchlight-bound": the paper's Searchlight groupput upper bound
 /// ((N-1) × pairwise throughput) plus the latency analysis. Budget and
-/// listen power come from the (homogeneous) node set; slot and beacon
-/// lengths are protocol constants.
-struct SearchlightParams {
-  double slot_seconds = 0.050;
-  double beacon_seconds = 0.001;
-};
+/// listen power come from the (homogeneous) node set; the slot (50 ms) and
+/// beacon (1 ms) lengths are baselines::SearchlightConfig's constants, so
+/// the protocol has no parameters of its own.
+struct SearchlightParams {};
 
 /// "econcast-testbed": the eZ430 firmware emulation of §VIII (mW units,
 /// real milliseconds; groupput is converted back to the theory's units).
+/// Budget and radio powers come from the (homogeneous) node set, the rest
+/// of testbed::TestbedConfig keeps its defaults.
 struct TestbedParams {
   double sigma = 0.25;
   double duration_ms = 4.0 * 3600.0 * 1000.0;
   double warmup_ms = 20.0 * 60.0 * 1000.0;
-  bool observer = true;
-  /// Surface the queue counters into SimResult::extras (same keys as the
-  /// econcast protocol: "queue_pushes", "queue_pops", "queue_cancels",
-  /// "queue_peak_live"). Off by default.
-  bool report_queue_stats = false;
 };
 
 using ProtocolParams =

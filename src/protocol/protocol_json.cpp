@@ -133,9 +133,7 @@ Value econcast_to_json(const EconCastParams& p) {
       .set("seed", util::json::u64_to_string(c.seed))
       .set("initial_energy", c.initial_energy)
       .set("energy_guard", c.energy_guard)
-      .set("guard_floor", c.guard_floor)
-      .set("track_state_occupancy", c.track_state_occupancy)
-      .set("report_queue_stats", c.report_queue_stats);
+      .set("track_state_occupancy", c.track_state_occupancy);
   return Value(std::move(o));
 }
 
@@ -168,10 +166,8 @@ EconCastParams econcast_from_json(const Object& o) {
   c.seed = u64(o, "seed", c.seed);
   c.initial_energy = num(o, "initial_energy", c.initial_energy);
   c.energy_guard = flag(o, "energy_guard", c.energy_guard);
-  c.guard_floor = num(o, "guard_floor", c.guard_floor);
   c.track_state_occupancy =
       flag(o, "track_state_occupancy", c.track_state_occupancy);
-  c.report_queue_stats = flag(o, "report_queue_stats", c.report_queue_stats);
   return EconCastParams{std::move(c)};
 }
 
@@ -205,18 +201,14 @@ Value params_to_json(const ProtocolParams& params) {
                        .set("simulate", p.simulate)
                        .set("slots", util::json::u64_to_string(p.slots)));
     }
-    Value operator()(const SearchlightParams& p) const {
-      return Value(Object{}
-                       .set("slot_seconds", p.slot_seconds)
-                       .set("beacon_seconds", p.beacon_seconds));
+    Value operator()(const SearchlightParams&) const {
+      return Value(Object{});
     }
     Value operator()(const TestbedParams& p) const {
       return Value(Object{}
                        .set("sigma", p.sigma)
                        .set("duration_ms", p.duration_ms)
-                       .set("warmup_ms", p.warmup_ms)
-                       .set("observer", p.observer)
-                       .set("report_queue_stats", p.report_queue_stats));
+                       .set("warmup_ms", p.warmup_ms));
     }
   };
   return std::visit(Visitor{}, params);
@@ -254,19 +246,12 @@ ProtocolParams params_from_json(const std::string& name, const Object& o) {
     p.slots = u64(o, "slots", p.slots);
     return p;
   }
-  if (name == "searchlight-bound") {
-    SearchlightParams p;
-    p.slot_seconds = num(o, "slot_seconds", p.slot_seconds);
-    p.beacon_seconds = num(o, "beacon_seconds", p.beacon_seconds);
-    return p;
-  }
+  if (name == "searchlight-bound") return SearchlightParams{};
   if (name == "econcast-testbed") {
     TestbedParams p;
     p.sigma = num(o, "sigma", p.sigma);
     p.duration_ms = num(o, "duration_ms", p.duration_ms);
     p.warmup_ms = num(o, "warmup_ms", p.warmup_ms);
-    p.observer = flag(o, "observer", p.observer);
-    p.report_queue_stats = flag(o, "report_queue_stats", p.report_queue_stats);
     return p;
   }
   throw Error("protocol '" + name + "' has no JSON parameter codec");

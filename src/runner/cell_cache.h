@@ -117,7 +117,7 @@ namespace econcast::runner {
 /// The code-fingerprint epoch baked into every key. Bump on any change that
 /// could alter a result byte (simulator logic, RNG, JSON formatting, seed
 /// derivation) or the cache layout; entries from other epochs simply miss.
-inline constexpr const char* kCacheEpoch = "econcast-epoch-4";
+inline constexpr const char* kCacheEpoch = "econcast-epoch-5";
 
 /// Default claim lease (see the file comment), in seconds.
 inline constexpr std::int64_t kDefaultClaimLeaseSeconds = 300;

@@ -1,10 +1,11 @@
-// Declarative sweep descriptions for ScenarioRunner.
+// Declarative sweep descriptions.
 //
 // The paper's figures are cross-products: (N, σ, X/L, mode) cells, each
 // evaluated for several protocols. SweepSpec captures that shape directly —
 // set the axes, call expand(), and get a deterministically ordered,
-// deterministically named scenario batch that one ScenarioRunner::run call
-// executes across all cores under the derive_seed contract. Because each
+// deterministically named scenario batch that a runner::SweepSession
+// (sweep_session.h) executes across all cores under the derive_seed
+// contract, cell by cell through its cache and results file. Because each
 // cell carries a protocol::ProtocolSpec, one sweep can mix EconCast, the
 // analytic baselines and custom protocols in a single batch.
 //

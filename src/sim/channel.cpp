@@ -64,7 +64,6 @@ void Channel::begin_burst(NodeId tx) {
   // necessarily busy, and busy nodes cannot reach here.
   if (listening_[tx]) apply_listen_change(tx, false);
   transmitting_[tx] = 1;
-  ++active_tx_;
   for (const std::size_t j : topo_.neighbors(tx)) {
     if (++busy_count_[j] == 1) mark_toggled(static_cast<NodeId>(j));
     // A second carrier corrupts any reception in progress at j.
@@ -115,7 +114,6 @@ void Channel::end_burst(NodeId tx) {
   if (rx_head_[tx] != kNoNode)
     throw std::logic_error("end_burst with a packet open");
   transmitting_[tx] = 0;
-  --active_tx_;
   for (const std::size_t j : topo_.neighbors(tx)) {
     if (--busy_count_[j] == 0) mark_toggled(static_cast<NodeId>(j));
   }

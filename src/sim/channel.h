@@ -93,7 +93,6 @@ class Channel {
   /// The reference computation, an O(degree) scan. The differential tests
   /// assert listening_neighbors() == this at every step.
   int listening_neighbors_scan(NodeId node) const;
-  int transmitting_count() const noexcept { return active_tx_; }
 
   /// Nodes whose carrier-sense state toggled since the last drain (each at
   /// most once). The protocol re-samples these nodes' transitions. The
@@ -126,7 +125,6 @@ class Channel {
   ArenaVector<NodeId> toggled_;
   ArenaVector<NodeId> drained_;  // scratch handed out by drain_toggled()
   PacketOutcome outcome_;        // scratch handed out by end_packet()
-  int active_tx_ = 0;
 };
 
 }  // namespace econcast::sim

@@ -75,7 +75,7 @@ enum class EventKind : std::uint8_t {
   kTransition,      // a node's next sleep/listen/transmit state change
   kPacketEnd,       // end of the packet currently on the air
   kIntervalEnd,     // end of a node's multiplier-update interval τ_k
-  kPingSlot,        // testbed: a scheduled ping inside the ping interval
+  kPingSlot,        // testbed: end of the pinging interval after a packet
   kEnergyDepleted,  // energy guard: storage hit the floor / refill reached
   kCustom,          // protocol-specific
 };

@@ -11,9 +11,7 @@
 //   * per-node sleep-clock drift stretches/compresses sleep and interval
 //     timers;
 //   * the regulator overhead makes actual consumption exceed the virtual
-//     battery's model (the paper's P > ρ observation);
-//   * an optional observer node listens permanently (reporting only — it
-//     does not ping and its receptions are not counted as throughput).
+//     battery's model (the paper's P > ρ observation).
 //
 // The network is a clique (the paper's nodes sit "in proximity").
 #ifndef ECONCAST_TESTBED_FIRMWARE_H
@@ -29,13 +27,12 @@
 namespace econcast::testbed {
 
 struct TestbedConfig {
-  std::size_t n = 5;          // protocol nodes (observer not included)
+  std::size_t n = 5;          // nodes
   double budget_mw = 1.0;     // ρ (per node)
   double sigma = 0.25;
   double duration_ms = 4.0 * 3600.0 * 1000.0;  // emulated wall-clock
   double warmup_ms = 20.0 * 60.0 * 1000.0;     // adaptation transient
   std::uint64_t seed = 1;
-  bool observer = true;
 
   // Multiplier adaptation (same auto-scaling rationale as SimConfig).
   double tau_ms = 30.0 * 1000.0;  // update interval
@@ -48,7 +45,7 @@ struct TestbedResult {
   double measured_window_ms = 0.0;
 
   /// Experimental groupput T̃^σ_g in the theory's units: received
-  /// packet-time per unit time, counted over protocol nodes only.
+  /// packet-time per unit time, summed over the receiving nodes.
   double groupput = 0.0;
 
   /// Virtual-battery (modeled) power per node, mW.

@@ -24,10 +24,4 @@ double LogSumExp::value() const noexcept {
   return max_ + std::log(sum_);
 }
 
-double log_sum_exp(std::span<const double> log_values) noexcept {
-  LogSumExp acc;
-  for (const double v : log_values) acc.add(v);
-  return acc.value();
-}
-
 }  // namespace econcast::util

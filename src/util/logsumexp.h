@@ -5,7 +5,6 @@
 #define ECONCAST_UTIL_LOGSUMEXP_H
 
 #include <limits>
-#include <span>
 
 namespace econcast::util {
 
@@ -27,9 +26,6 @@ class LogSumExp {
   double max_ = kLogZero;   // running maximum exponent
   double sum_ = 0.0;        // sum of exp(l_i - max_)
 };
-
-/// One-shot log-sum-exp over a span of log-values.
-double log_sum_exp(std::span<const double> log_values) noexcept;
 
 }  // namespace econcast::util
 

@@ -31,10 +31,6 @@ class Xoshiro256 {
 
   result_type operator()() noexcept;
 
-  /// Equivalent to 2^128 calls of operator(); used to derive independent
-  /// parallel streams from one seed.
-  void jump() noexcept;
-
  private:
   std::uint64_t s_[4];
 };
@@ -42,36 +38,14 @@ class Xoshiro256 {
 /// Convenience wrapper bundling the generator with the distributions this
 /// project needs. All sampling is implemented here (not with std::
 /// distributions) for cross-platform determinism.
-///
-/// Block-refill mode: constructed with `block > 0`, the Rng draws raw
-/// generator outputs `block` at a time and converts the whole batch to
-/// [0, 1) doubles in one loop, so uniform()/exponential() in the hot loops
-/// become a buffered load. The consumption order is unchanged — every draw,
-/// including the raw-bits draws of uniform_int() and fork(), takes the
-/// *next* buffered generator output — and the conversion is exact, so a
-/// block-mode Rng emits the bit-identical stream of the unbuffered path for
-/// any interleaving of calls (the golden vectors in test_random_regression
-/// prove it).
 class Rng {
  public:
-  /// The block size proto::Simulation uses; large enough to amortize the
-  /// refill, small enough to stay in L1.
-  static constexpr std::size_t kDefaultBlock = 256;
-
-  explicit Rng(std::uint64_t seed = 1, std::size_t block = 0)
-      : gen_(seed), block_(block) {
-    if (block_ > 0) {
-      raw_.resize(block_);
-      u01_.resize(block_);
-    }
-  }
+  explicit Rng(std::uint64_t seed = 1) : gen_(seed) {}
 
   /// Uniform on [0, 1). Uses the top 53 bits, so the result is an exact
   /// multiple of 2^-53.
-  double uniform() {
-    if (block_ == 0) return to_u01(gen_());
-    if (pos_ == fill_) refill();
-    return u01_[pos_++];
+  double uniform() noexcept {
+    return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
   }
 
   /// Uniform on [lo, hi).
@@ -89,43 +63,8 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection).
   std::uint64_t uniform_int(std::uint64_t n);
 
-  /// Geometric number of Bernoulli(p_continue) successes before the first
-  /// failure, i.e. #extra trials; mean p/(1-p). Throws
-  /// std::invalid_argument (naming the value) unless p_continue is in
-  /// [0, 1) — p_continue >= 1 would loop forever and NaN would silently
-  /// return 0.
-  std::uint64_t geometric_continues(double p_continue);
-
-  /// A fresh Rng whose stream is independent of this one
-  /// (splitmix64-derived). The child inherits this Rng's block mode.
-  Rng fork();
-
-  /// Direct access to the underlying generator. Only meaningful for an
-  /// unbuffered Rng (block 0): in block-refill mode the generator has
-  /// already advanced past the buffered outputs, so drawing from it
-  /// directly would skip them.
-  Xoshiro256& generator() noexcept { return gen_; }
-
  private:
-  static double to_u01(std::uint64_t bits) noexcept {
-    return static_cast<double>(bits >> 11) * 0x1.0p-53;
-  }
-
-  /// The next raw generator output in stream order (buffered in block
-  /// mode, so raw-bit draws stay aligned with the uniform() stream).
-  std::uint64_t next_bits() {
-    if (block_ == 0) return gen_();
-    if (pos_ == fill_) refill();
-    return raw_[pos_++];
-  }
-
-  void refill();
-
   Xoshiro256 gen_;
-  std::size_t block_ = 0;            // 0: unbuffered scalar path
-  std::size_t pos_ = 0, fill_ = 0;   // consumption cursor / buffered count
-  std::vector<std::uint64_t> raw_;   // generator outputs, stream order
-  std::vector<double> u01_;          // raw_ converted to [0, 1)
 };
 
 /// Fisher–Yates shuffle using the project Rng (std::shuffle is not

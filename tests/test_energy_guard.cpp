@@ -1,5 +1,5 @@
 // End-to-end coverage of the energy-guard brown-out path (SimConfig
-// energy_guard / guard_floor / initial_energy): nodes that cannot pay for
+// energy_guard / initial_energy): nodes that cannot pay for
 // listening are forced to sleep and must recharge before competing to wake
 // again, transmitters do not extend bursts they cannot afford, and the
 // system keeps operating (finite throughput, bounded power) instead of
@@ -27,7 +27,6 @@ proto::SimConfig guarded_cfg(double duration, double initial_energy) {
   cfg.warmup = 0.0;
   cfg.seed = 4242;
   cfg.energy_guard = true;
-  cfg.guard_floor = 0.0;
   cfg.initial_energy = initial_energy;
   return cfg;
 }

@@ -230,7 +230,6 @@ TEST(Executor, SharedReturnsOneProcessWideInstance) {
   Executor& a = Executor::shared();
   Executor& b = Executor::shared();
   EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.num_workers(), 1u);
   std::atomic<int> hits{0};
   a.parallel_for(32, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 32);

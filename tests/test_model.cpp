@@ -96,7 +96,6 @@ TEST(Topology, CliqueProperties) {
   const Topology t = Topology::clique(6);
   EXPECT_EQ(t.size(), 6u);
   EXPECT_TRUE(t.is_clique());
-  EXPECT_TRUE(t.is_connected());
   EXPECT_EQ(t.edge_count(), 15u);
   EXPECT_EQ(t.degree(3), 5u);
   EXPECT_TRUE(t.adjacent(0, 5));
@@ -106,7 +105,6 @@ TEST(Topology, CliqueProperties) {
 TEST(Topology, SingleNodeCliqueIsClique) {
   const Topology t = Topology::clique(1);
   EXPECT_TRUE(t.is_clique());
-  EXPECT_TRUE(t.is_connected());
   EXPECT_EQ(t.edge_count(), 0u);
 }
 
@@ -114,7 +112,6 @@ TEST(Topology, GridDegreesAndEdges) {
   const Topology t = Topology::grid(5, 5);  // the paper's 25-node grid
   EXPECT_EQ(t.size(), 25u);
   EXPECT_FALSE(t.is_clique());
-  EXPECT_TRUE(t.is_connected());
   EXPECT_EQ(t.edge_count(), 40u);  // 2*5*4
   EXPECT_EQ(t.degree(0), 2u);      // corner
   EXPECT_EQ(t.degree(2), 3u);      // edge
@@ -127,7 +124,6 @@ TEST(Topology, GridDegreesAndEdges) {
 TEST(Topology, LineAndRing) {
   const Topology line = Topology::line(4);
   EXPECT_EQ(line.edge_count(), 3u);
-  EXPECT_TRUE(line.is_connected());
   EXPECT_EQ(line.degree(0), 1u);
   const Topology ring = Topology::ring(5);
   EXPECT_EQ(ring.edge_count(), 5u);
@@ -138,7 +134,6 @@ TEST(Topology, LineAndRing) {
 TEST(Topology, FromEdgesAndDuplicates) {
   const Topology t = Topology::from_edges(4, {{0, 1}, {1, 0}, {2, 3}});
   EXPECT_EQ(t.edge_count(), 2u);  // duplicate collapsed
-  EXPECT_FALSE(t.is_connected());
   EXPECT_THROW(Topology::from_edges(2, {{0, 0}}), std::invalid_argument);
   EXPECT_THROW(Topology::from_edges(2, {{0, 5}}), std::out_of_range);
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "baselines/birthday.h"
 #include "baselines/panda.h"
@@ -136,62 +137,31 @@ TEST(ProtocolAdapters, EconCastMatchesDirectSimulation) {
             static_cast<double>(expected.bursts));
 }
 
-TEST(ProtocolAdapters, QueueStatsExtrasAreOptIn) {
-  proto::SimConfig cfg;
-  cfg.sigma = 0.5;
-  cfg.duration = 5e3;
-
-  // Default: no queue_* extras, so existing outputs stay byte-identical.
-  const SimResult quiet = run_spec(protocol::econcast_spec(cfg), paper_nodes(),
-                                   model::Topology::clique(5), /*seed=*/11);
-  EXPECT_EQ(quiet.extras.count("queue_pushes"), 0u);
-  EXPECT_EQ(quiet.extras.count("queue_cancels"), 0u);
-
-  cfg.report_queue_stats = true;
-  const SimResult loud = run_spec(protocol::econcast_spec(cfg), paper_nodes(),
-                                  model::Topology::clique(5), /*seed=*/11);
-  EXPECT_GT(loud.extra("queue_pushes"), 0.0);
-  EXPECT_GT(loud.extra("queue_pops"), 0.0);
-  EXPECT_GT(loud.extra("queue_peak_live"), 0.0);
-  // Conservation: everything popped or cancelled was pushed first.
-  EXPECT_GE(loud.extra("queue_pushes"),
-            loud.extra("queue_pops") + loud.extra("queue_cancels"));
-  // The flag changes reporting, not the simulation.
-  EXPECT_EQ(loud.groupput, quiet.groupput);
-  EXPECT_EQ(loud.packets_sent, quiet.packets_sent);
-
-  // Same opt-in contract for the firmware protocol.
-  protocol::TestbedParams testbed;
-  testbed.duration_ms = 10.0 * 60.0 * 1000.0;
-  testbed.warmup_ms = 60.0 * 1000.0;
-  testbed.report_queue_stats = true;
-  const SimResult firmware =
-      run_spec(protocol::testbed_spec(testbed),
-               model::homogeneous(5, 1.0, 52.2, 55.4),
-               model::Topology::clique(5), /*seed=*/3);
-  EXPECT_GT(firmware.extra("queue_pushes"), 0.0);
-}
-
 // The simulator's deterministic counters, pinned: a seeded run must handle
 // exactly these events with exactly these queue operations and produce the
 // same groupput bits. Event-queue and simulator changes that claim not to
 // alter the delivered event sequence are held to them. A change meant to
 // alter the sequence re-records them (and says so in CHANGES.md).
 struct PinnedCounters {
-  double events_processed;
-  double pushes;
-  double pops;
-  double cancels;
-  double peak_live;
+  std::uint64_t events_processed;
+  std::uint64_t pushes;
+  std::uint64_t pops;
+  std::uint64_t cancels;
+  std::uint64_t peak_live;
   std::uint64_t groupput_bits;
 };
 
-void expect_counters(const SimResult& r, const PinnedCounters& want) {
-  EXPECT_EQ(r.extra("events_processed"), want.events_processed);
-  EXPECT_EQ(r.extra("queue_pushes"), want.pushes);
-  EXPECT_EQ(r.extra("queue_pops"), want.pops);
-  EXPECT_EQ(r.extra("queue_cancels"), want.cancels);
-  EXPECT_EQ(r.extra("queue_peak_live"), want.peak_live);
+void expect_counters(model::NodeSet nodes, model::Topology topology,
+                     proto::SimConfig cfg, std::uint64_t seed,
+                     const PinnedCounters& want) {
+  cfg.seed = seed;
+  proto::Simulation sim(std::move(nodes), std::move(topology), cfg);
+  const proto::SimResult r = sim.run();
+  EXPECT_EQ(r.events_processed, want.events_processed);
+  EXPECT_EQ(r.queue_stats.pushes, want.pushes);
+  EXPECT_EQ(r.queue_stats.pops, want.pops);
+  EXPECT_EQ(r.queue_stats.cancels, want.cancels);
+  EXPECT_EQ(r.queue_stats.peak_live, want.peak_live);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(r.groupput), want.groupput_bits);
 }
 
@@ -205,22 +175,16 @@ TEST(ProtocolAdapters, EconCastCountersArePinned) {
   grid.warmup = 0.4 * grid.duration;
   grid.energy_guard = true;
   grid.initial_energy = 5e5;
-  grid.report_queue_stats = true;
-  expect_counters(
-      run_spec(protocol::econcast_spec(grid),
-               model::homogeneous(64, 10.0, 500.0, 500.0),
-               model::Topology::grid(8, 8), /*seed=*/64),
-      {83928, 179874, 83928, 95815, 142, 4593689634316415402u});
+  expect_counters(model::homogeneous(64, 10.0, 500.0, 500.0),
+                  model::Topology::grid(8, 8), grid, /*seed=*/64,
+                  {83928, 179874, 83928, 95815, 142, 4593689634316415402u});
 
   proto::SimConfig clique;
   clique.sigma = 0.5;
   clique.duration = 4e4;
-  clique.report_queue_stats = true;
-  expect_counters(
-      run_spec(protocol::econcast_spec(clique),
-               model::homogeneous(16, 10.0, 500.0, 500.0),
-               model::Topology::clique(16), /*seed=*/16),
-      {52813, 52875, 52813, 45, 32, 4618427400414603457u});
+  expect_counters(model::homogeneous(16, 10.0, 500.0, 500.0),
+                  model::Topology::clique(16), clique, /*seed=*/16,
+                  {52813, 52875, 52813, 45, 32, 4618427400414603457u});
 
   // A 64-node clique under the fig. 6 guard set-up: every burst toggles
   // carrier sense at 63 neighbours, so the carrier-toggle re-samples run
@@ -228,37 +192,29 @@ TEST(ProtocolAdapters, EconCastCountersArePinned) {
   proto::SimConfig guarded = grid;
   guarded.duration = 5e4;
   guarded.warmup = 0.4 * guarded.duration;
-  expect_counters(
-      run_spec(protocol::econcast_spec(guarded),
-               model::homogeneous(64, 10.0, 500.0, 500.0),
-               model::Topology::clique(64), /*seed=*/65),
-      {87932, 314740, 87932, 226742, 143, 4595111570838763847u});
+  expect_counters(model::homogeneous(64, 10.0, 500.0, 500.0),
+                  model::Topology::clique(64), guarded, /*seed=*/65,
+                  {87932, 314740, 87932, 226742, 143, 4595111570838763847u});
 
   // The non-capture variant reads λ_lx per query with the listener count,
   // driven by ĉ (groupput) and by γ̂ (anyput); the 16-clique pin above
   // covers capture groupput.
   proto::SimConfig nc = clique;
   nc.variant = proto::Variant::kNonCapture;
-  expect_counters(
-      run_spec(protocol::econcast_spec(nc),
-               model::homogeneous(16, 10.0, 500.0, 500.0),
-               model::Topology::clique(16), /*seed=*/17),
-      {92815, 692890, 92815, 600058, 32, 4618527211441345056u});
+  expect_counters(model::homogeneous(16, 10.0, 500.0, 500.0),
+                  model::Topology::clique(16), nc, /*seed=*/17,
+                  {92815, 692890, 92815, 600058, 32, 4618527211441345056u});
   nc.mode = model::Mode::kAnyput;
-  expect_counters(
-      run_spec(protocol::econcast_spec(nc),
-               model::homogeneous(16, 10.0, 500.0, 500.0),
-               model::Topology::clique(16), /*seed=*/18),
-      {35758, 157200, 35758, 121410, 32, 4594240874910805551u});
+  expect_counters(model::homogeneous(16, 10.0, 500.0, 500.0),
+                  model::Topology::clique(16), nc, /*seed=*/18,
+                  {35758, 157200, 35758, 121410, 32, 4594240874910805551u});
 
   // Capture anyput under the fig. 6 guard set-up on a 16-clique.
   proto::SimConfig anyput = grid;
   anyput.mode = model::Mode::kAnyput;
-  expect_counters(
-      run_spec(protocol::econcast_spec(anyput),
-               model::homogeneous(16, 10.0, 500.0, 500.0),
-               model::Topology::clique(16), /*seed=*/19),
-      {17163, 59731, 17163, 42535, 41, 4589582351456253510u});
+  expect_counters(model::homogeneous(16, 10.0, 500.0, 500.0),
+                  model::Topology::clique(16), anyput, /*seed=*/19,
+                  {17163, 59731, 17163, 42535, 41, 4589582351456253510u});
 }
 
 TEST(ProtocolAdapters, PandaSimulationMatchesDetailedRun) {

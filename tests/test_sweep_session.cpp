@@ -98,8 +98,8 @@ TEST(ProtocolJson, AllBuiltinSpecsRoundTrip) {
       protocol::oracle_spec(model::Mode::kAnyput),
       protocol::panda_spec(panda),
       protocol::birthday_spec(birthday),
-      protocol::searchlight_spec({0.025, 0.0005}),
-      protocol::testbed_spec({0.2, 1e6, 1e5, false}),
+      protocol::searchlight_spec(),
+      protocol::testbed_spec({0.2, 1e6, 1e5}),
   };
   specs[0].seed = 0xFFFFFFFFFFFFFFFFULL;
 
@@ -128,6 +128,29 @@ TEST(ProtocolJson, RejectsUnknownAndMismatched) {
   EXPECT_THROW(protocol::spec_from_json(
                    json::parse(R"({"name":"carrier-pigeon","params":{}})")),
                json::Error);
+}
+
+// Keys of fields that no longer exist load as if absent: a spec written
+// with them parses to the same to_json bytes as the spec without them.
+// (legacy_engines_manifest.json covers econcast's guard_floor and
+// report_queue_stats.)
+TEST(ProtocolJson, RemovedParamKeysAreIgnoredOnLoad) {
+  const auto reencoded = [](const char* text) {
+    return json::dump(protocol::to_json(protocol::spec_from_json(
+        json::parse(text))));
+  };
+  EXPECT_EQ(reencoded(R"({"name": "econcast-testbed", "seed": "3",
+                          "params": {"sigma": 0.2, "duration_ms": 1e6,
+                                     "warmup_ms": 1e5, "observer": false,
+                                     "report_queue_stats": true}})"),
+            reencoded(R"({"name": "econcast-testbed", "seed": "3",
+                          "params": {"sigma": 0.2, "duration_ms": 1e6,
+                                     "warmup_ms": 1e5}})"));
+  EXPECT_EQ(reencoded(R"({"name": "searchlight-bound", "seed": "3",
+                          "params": {"slot_seconds": 0.025,
+                                     "beacon_seconds": 0.0005}})"),
+            reencoded(R"({"name": "searchlight-bound", "seed": "3",
+                          "params": {}})"));
 }
 
 // ---------------------------------------------------- SimResult round trip --
@@ -436,7 +459,8 @@ TEST(ManifestJson, ManifestFileRoundTrips) {
 
   // A manifest written before the queue-engine, hot-path-engine and kernel
   // knobs were removed: it carries runner.queue_engine/hotpath_engine and
-  // per-spec queue_engine/hotpath_engine/report_hotpath_stats keys. It
+  // per-spec queue_engine/hotpath_engine/report_hotpath_stats keys, and
+  // econcast's guard_floor and report_queue_stats, also removed since. It
   // still loads, as the same sweep, and runs to the exact results bytes the
   // writing build produced (committed next to it).
   const std::string data = ECONCAST_TEST_DATA_DIR;

@@ -27,12 +27,6 @@ TEST(Xoshiro, DifferentSeedsDiffer) {
   EXPECT_LT(same, 4);
 }
 
-TEST(Xoshiro, JumpChangesStream) {
-  Xoshiro256 a(7), b(7);
-  b.jump();
-  EXPECT_NE(a(), b());
-}
-
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(42);
   for (int i = 0; i < 10000; ++i) {
@@ -113,23 +107,6 @@ TEST(Rng, UniformIntRangeAndCoverage) {
   for (const int c : seen) EXPECT_NEAR(c, 10000, 500);
 }
 
-TEST(Rng, GeometricContinuesMean) {
-  Rng rng(51);
-  RunningStats s;
-  for (int i = 0; i < 100000; ++i)
-    s.add(static_cast<double>(rng.geometric_continues(0.8)));
-  EXPECT_NEAR(s.mean(), 4.0, 0.1);  // p/(1-p) = 0.8/0.2
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(52);
-  Rng b = a.fork();
-  RunningStats corr;
-  for (int i = 0; i < 1000; ++i)
-    corr.add((a.uniform() - 0.5) * (b.uniform() - 0.5));
-  EXPECT_NEAR(corr.mean(), 0.0, 0.01);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(53);
   std::vector<int> v{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
@@ -176,18 +153,13 @@ TEST(LogSumExpTest, IgnoresLogZeroTerms) {
   EXPECT_NEAR(acc.value(), 0.0, 1e-15);
 }
 
-TEST(LogSumExpTest, SpanOverloadMatchesStreaming) {
-  const std::vector<double> vals{-3.0, 0.5, 2.0, 2.0, -10.0};
-  LogSumExp acc;
-  for (const double v : vals) acc.add(v);
-  EXPECT_NEAR(log_sum_exp(vals), acc.value(), 1e-12);
-}
-
 TEST(LogSumExpTest, OrderInvariance) {
   std::vector<double> vals{100.0, -50.0, 3.0, 99.0};
-  const double a = log_sum_exp(vals);
+  LogSumExp forward, backward;
+  for (const double v : vals) forward.add(v);
   std::reverse(vals.begin(), vals.end());
-  EXPECT_NEAR(log_sum_exp(vals), a, 1e-12);
+  for (const double v : vals) backward.add(v);
+  EXPECT_NEAR(backward.value(), forward.value(), 1e-12);
 }
 
 // ----------------------------------------------------------------- stats --
