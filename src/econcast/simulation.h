@@ -71,7 +71,7 @@ struct SimConfig {
   /// captures that unbounded storage permits at small σ.
   ///
   /// Pair the guard with a realistic `initial_energy` — a receiver can only
-  /// take bursts it can pay for, so starting at the floor collapses
+  /// take bursts it can pay for, so starting empty collapses
   /// reception into one-packet snippets. A small storage capacitor's worth
   /// (e.g. ~1000 packet-times of listening, 0.5 mJ at the paper's scale)
   /// makes the guard invisible in steady state while still truncating the

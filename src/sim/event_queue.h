@@ -76,7 +76,7 @@ enum class EventKind : std::uint8_t {
   kPacketEnd,       // end of the packet currently on the air
   kIntervalEnd,     // end of a node's multiplier-update interval τ_k
   kPingSlot,        // testbed: end of the pinging interval after a packet
-  kEnergyDepleted,  // energy guard: storage hit the floor / refill reached
+  kEnergyDepleted,  // energy guard: storage ran empty / refill reached
   kCustom,          // protocol-specific
 };
 
